@@ -22,7 +22,7 @@ TPNR_SHARDS ?=
 # Default 1 keeps journals unreplicated; chaos-replicated pins 3.
 TPNR_REPLICAS ?=
 
-.PHONY: build vet test race bench bench-smoke bench-json bench-check chaos chaos-short chaos-sharded chaos-replicated obs-smoke shim-guard verify
+.PHONY: build vet test race bench bench-smoke bench-e17 bench-json bench-check chaos chaos-short chaos-sharded chaos-replicated obs-smoke shim-guard verify
 
 build:
 	$(GO) build ./...
@@ -43,6 +43,13 @@ bench:
 # guard against benchmark rot that rides inside verify.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
+
+# bench-e17 vets and smoke-tests the E17 scoreboard (BENCHMARK.json +
+# bench/). bench/ is its own module, so `go build ./... && go test
+# ./...` never compiles it: a deletion under internal/ can break the
+# benchmark with tier-1 still green unless this target rides verify.
+bench-e17:
+	$(GO) vet -C bench . && $(GO) test -C bench .
 
 # bench-json runs the hot-path families (E11 + transport pipe, E12
 # crypto API, E13 recovery, E14 sharding, E15 storage-dwell audit,
@@ -112,10 +119,10 @@ chaos-replicated:
 # the legacy behaviour.
 shim-guard:
 	@matches=$$(grep -rn --include='*.go' -E \
-		'cryptoutil\.(Sign|Verify|Encrypt|Decrypt|MarshalPublicKey|ParsePublicKey|PublicKeyFingerprint)\(|\.CAKey\(\)|New(Client|Provider|TTPParty)FromOptions\(|ttp\.NewFromOptions\(|core\.With(CAKey|Options)\(|auditlog\.VerifyCheckpoint\(' \
+		'cryptoutil\.(Sign|Verify|Encrypt|Decrypt|MarshalPublicKey|ParsePublicKey|PublicKeyFingerprint)\(|\.CAKey\(\)|core\.WithCAKey\(|auditlog\.VerifyCheckpoint\(' \
 		internal cmd \
 		| grep -v '_test.go' \
-		| grep -vE '^internal/(cryptoutil|evidence)/|^internal/pki/pki\.go|^internal/keystore/keystore\.go|^internal/auditlog/auditlog\.go|^internal/arbitrator/arbitrator\.go|^internal/ttp/ttp\.go|^internal/core/(client|provider|ttpparty|options|party)\.go' \
+		| grep -vE '^internal/(cryptoutil|evidence)/|^internal/pki/pki\.go|^internal/keystore/keystore\.go|^internal/auditlog/auditlog\.go|^internal/arbitrator/arbitrator\.go' \
 		|| true); \
 	if [ -n "$$matches" ]; then \
 		echo "$$matches"; \
@@ -141,6 +148,7 @@ obs-smoke:
 
 # verify is the tier-1 gate: vet, compile everything, a quick chaos
 # pass, the full suite under the race detector (the concurrency tests
-# depend on it; race also reruns chaos with the full seed set), and a
-# one-iteration benchmark smoke so the benchmark suite cannot rot.
-verify: vet build chaos-short race bench-smoke
+# depend on it; race also reruns chaos with the full seed set), a
+# one-iteration benchmark smoke so the benchmark suite cannot rot, and
+# the E17 scoreboard's own vet + smoke test.
+verify: vet build chaos-short race bench-smoke bench-e17

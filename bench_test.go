@@ -947,42 +947,6 @@ func BenchmarkE12EvidenceColdOpen(b *testing.B) {
 	}
 }
 
-// BenchmarkE12BatchVerify compares verifying n opened evidence items
-// one by one against one VerifyBatch call (parallel workers,
-// per-scheme grouping). ns/op covers the whole round of n items, so
-// the singles/batch ratio at equal n is the speedup directly.
-func BenchmarkE12BatchVerify(b *testing.B) {
-	build := func(b *testing.B, n int) []evidence.BatchEntry {
-		entries := make([]evidence.BatchEntry, n)
-		for i := range entries {
-			sender, _, _, ev, _ := e12Evidence(b, cryptoutil.SchemeRSA, fmt.Sprintf("t%d", i))
-			entries[i] = evidence.BatchEntry{Ev: ev, Sender: sender.Signer().Public()}
-		}
-		return entries
-	}
-	for _, n := range []int{8, 64} {
-		entries := build(b, n)
-		b.Run(fmt.Sprintf("mode=singles/n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for _, e := range entries {
-					if err := e.Ev.VerifyWith(e.Sender); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("mode=batch/n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if failed := evidence.VerifyBatch(entries, nil); len(failed) != 0 {
-					b.Fatal("batch verification failed")
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkE12AggregateReceipt prices settling a session of k uploads:
 // one signature over a Merkle root of the k evidence digests (plus one
 // verification on the other side) against k individual receipt

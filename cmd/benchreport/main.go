@@ -19,10 +19,9 @@
 //     VerifyCache relative to cold RSA verification (target ≥ 5×).
 //
 // The E12 crypto-API families ride along with their own ratios:
-// ed25519_cold_open_speedup (Ed25519 vs RSA evidence open, target ≥5×),
-// batch_verify_speedup_n8/n64 (one VerifyBatch round vs n singles), and
-// aggregate_receipt_speedup_k64 (one aggregate session receipt vs 64
-// individual receipt signatures).
+// ed25519_cold_open_speedup (Ed25519 vs RSA evidence open, target ≥5×)
+// and aggregate_receipt_speedup_k64 (one aggregate session receipt vs
+// 64 individual receipt signatures).
 //
 // The E13 recovery family (internal/core) compares full journal replay
 // against checkpoint-snapshot-plus-tail recovery of the same history:
@@ -74,7 +73,7 @@ import (
 )
 
 // benchPattern selects the families the report covers.
-const benchPattern = `^(BenchmarkE11WALAppend|BenchmarkE11ParallelHash|BenchmarkE11MerkleBuild|BenchmarkE11VerifyCache|BenchmarkE10TransportPipe|BenchmarkE12EvidenceColdOpen|BenchmarkE12BatchVerify|BenchmarkE12AggregateReceipt|BenchmarkE13Recovery|BenchmarkE14ShardedUpload|BenchmarkE14ShardedRecovery|BenchmarkE15Audit|BenchmarkE15AuditArbitrate|BenchmarkE16Replication)$`
+const benchPattern = `^(BenchmarkE11WALAppend|BenchmarkE11ParallelHash|BenchmarkE11MerkleBuild|BenchmarkE11VerifyCache|BenchmarkE10TransportPipe|BenchmarkE12EvidenceColdOpen|BenchmarkE12AggregateReceipt|BenchmarkE13Recovery|BenchmarkE14ShardedUpload|BenchmarkE14ShardedRecovery|BenchmarkE15Audit|BenchmarkE15AuditArbitrate|BenchmarkE16Replication)$`
 
 // Result is one parsed benchmark line.
 type Result struct {
@@ -228,12 +227,6 @@ func main() {
 	ratio("ed25519_cold_open_speedup",
 		"BenchmarkE12EvidenceColdOpen/scheme=rsa",
 		"BenchmarkE12EvidenceColdOpen/scheme=ed25519")
-	ratio("batch_verify_speedup_n8",
-		"BenchmarkE12BatchVerify/mode=singles/n=8",
-		"BenchmarkE12BatchVerify/mode=batch/n=8")
-	ratio("batch_verify_speedup_n64",
-		"BenchmarkE12BatchVerify/mode=singles/n=64",
-		"BenchmarkE12BatchVerify/mode=batch/n=64")
 	ratio("aggregate_receipt_speedup_k64",
 		"BenchmarkE12AggregateReceipt/mode=singles/k=64",
 		"BenchmarkE12AggregateReceipt/mode=aggregate/k=64")
@@ -270,7 +263,6 @@ func main() {
 		"wal ratios compare wall time per acked-durable append; fsyncs/op in the WAL results shows the group-commit coalescing directly",
 		"verify_cache_speedup compares two RSA verifies (cold) against two memo lookups (warm) for the same evidence item",
 		"ed25519_cold_open_speedup compares a full evidence open (unseal + two signature checks) across schemes; RSA pays a private-key decrypt per message (target >=5x)",
-		"batch_verify_speedup_* compares n single verifications against one VerifyBatch round; the worker fan-out falls back to serial at GOMAXPROCS=1, so the >=1x-at-n=8 criterion applies on multi-core boxes",
 		"aggregate_receipt_speedup_k64 compares 64 individual receipt sign+verify pairs against ONE aggregate signature over a Merkle root of the 64 evidence digests plus one verification",
 		"recovery_snapshot_speedup_* compares full journal replay against snapshot-plus-tail recovery of the SAME history (n terminal sessions + a 16-session tail); the >=5x criterion applies at 10k sessions",
 		"sharded_upload_speedup_* compares journaled upload throughput (SyncAlways, 16 workers) at 1 vs N shards: N independent fsync streams vs one; the >=3x-at-8-shards criterion applies at GOMAXPROCS>=8 on storage with parallel flush queues — a 1-core VM whose virtual disk serializes flushes tops out around the disk's own concurrent-fsync ceiling",

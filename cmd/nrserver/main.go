@@ -82,8 +82,6 @@ func main() {
 	stepDeadline := flag.Duration("step-deadline", 0, "per-step protocol deadline; stale sessions are auto-aborted with an expiry receipt (0 = no deadline)")
 	sweepEvery := flag.Duration("sweep-interval", 0, "how often the expiry reaper scans for stale sessions (0 = step-deadline/4, min 10ms)")
 	maxInflight := flag.Int("max-inflight", 0, "max concurrent protocol handlers before shedding with a retryable overload frame (0 = unlimited)")
-	connPending := flag.Int("conn-pending", 1, "per-connection pipelined request cap (1 = serial)")
-	batchVerify := flag.Int("batch-verify", 0, "per-connection batch-drain round cap: queued inbound messages are decrypted individually but signature-verified in one batched call (0/1 = off; overrides -conn-pending)")
 	auditEvery := flag.Duration("audit-interval", 0, "storage-dwell self-audit interval: recompute every committed session's Merkle root against the blob store and log divergences (0 = never)")
 	replicas := flag.Int("replicas", 1, "journal replication factor per shard: the leader plus replicas-1 follower journals under <shard-wal-dir>/replica-0N (requires -wal-dir; 1 = no replication)")
 	quorum := flag.Int("quorum", 0, "durable copies (leader included) each journal append must reach before its protocol step is acked (0 = min(2, replicas))")
@@ -163,8 +161,6 @@ func main() {
 	srvOpts := []core.ServerOption{
 		core.ServerLogger(events),
 		core.ServerMaxInflight(*maxInflight),
-		core.ServerConnPending(*connPending),
-		core.ServerBatchDrain(*batchVerify),
 	}
 	if *stepDeadline > 0 {
 		policy := core.DeadlinePolicy{Step: *stepDeadline, Sweep: *sweepEvery}

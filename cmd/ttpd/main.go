@@ -67,7 +67,6 @@ func main() {
 	obsAddr := flag.String("obs-addr", "", "observability HTTP listen address serving /metrics, /healthz and /debug/pprof (empty = disabled)")
 	logLevel := flag.String("log-level", "info", "structured event log level: debug, info, warn, or error")
 	maxInflight := flag.Int("max-inflight", 0, "max concurrent resolve handlers before shedding with a retryable overload frame (0 = unlimited)")
-	connPending := flag.Int("conn-pending", 1, "per-connection pipelined request cap (1 = serial)")
 	brWindow := flag.Int("breaker-window", 16, "peer-dial circuit breaker: outcomes in the sliding window")
 	brRatio := flag.Float64("breaker-ratio", 0.5, "peer-dial circuit breaker: failure ratio that trips the breaker open")
 	brCooldown := flag.Duration("breaker-cooldown", 5*time.Second, "peer-dial circuit breaker: open-state cooldown before a half-open probe (0 = breaker disabled)")
@@ -282,7 +281,6 @@ func main() {
 	srv := core.NewServer(server,
 		core.ServerLogger(events),
 		core.ServerMaxInflight(*maxInflight),
-		core.ServerConnPending(*connPending),
 	)
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()

@@ -24,15 +24,7 @@ type Client struct {
 
 // NewClient constructs a client engine from functional options.
 func NewClient(providerID, ttpID string, opts ...Option) (*Client, error) {
-	return NewClientFromOptions(buildOptions(opts), providerID, ttpID)
-}
-
-// NewClientFromOptions constructs a client engine from a legacy
-// Options struct.
-//
-// Deprecated: use NewClient with functional options.
-func NewClientFromOptions(o Options, providerID, ttpID string) (*Client, error) {
-	p, err := newParty(o)
+	p, err := newParty(buildOptions(opts))
 	if err != nil {
 		return nil, err
 	}

@@ -17,6 +17,7 @@ import (
 	"repro/internal/session"
 	"repro/internal/storage"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // newDeploy builds a fast test deployment with cached keys.
@@ -430,6 +431,21 @@ func TestMessageEncodeDecode(t *testing.T) {
 	}
 }
 
+// TestDecodeMessageErrorBounded: the leading string of a frame is
+// chosen by an unauthenticated peer, and the decode error ends up in
+// the server's event log — it must describe the junk, not carry it.
+func TestDecodeMessageErrorBounded(t *testing.T) {
+	e := wire.NewEncoder(1<<20 + 8)
+	e.String(string(bytes.Repeat([]byte{0xff}, 1<<20)))
+	_, err := core.DecodeMessage(e.Bytes())
+	if err == nil {
+		t.Fatal("junk magic decoded")
+	}
+	if n := len(err.Error()); n >= 256 {
+		t.Fatalf("error for a 1 MiB junk magic is %d bytes, want < 256", n)
+	}
+}
+
 func TestConcurrentUploads(t *testing.T) {
 	d := newDeploy(t, 10*time.Second)
 	const n = 8
@@ -548,10 +564,10 @@ func TestUploadOverDuplicatingLink(t *testing.T) {
 	}
 }
 
-// TestProviderHandleRawNeverPanics feeds random garbage at the
+// TestProviderHandleNeverPanics feeds random garbage at the
 // provider's message entry point: it must neither panic nor store
 // anything.
-func TestProviderHandleRawNeverPanics(t *testing.T) {
+func TestProviderHandleNeverPanics(t *testing.T) {
 	d := newDeploy(t, time.Second)
 	rng := rand.New(rand.NewSource(99))
 	f := func(raw []byte) bool {

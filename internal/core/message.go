@@ -69,7 +69,14 @@ func DecodeMessage(b []byte) (*Message, error) {
 		if magic == ctlMagic {
 			return nil, decodeControlErr(d)
 		}
-		return nil, fmt.Errorf("core: bad message magic %q", magic)
+		// The magic is whatever an unauthenticated peer sent, up to
+		// wire.MaxFrameSize of it: report its length and a short prefix,
+		// never the whole string.
+		head := magic
+		if len(head) > 16 {
+			head = head[:16]
+		}
+		return nil, fmt.Errorf("core: bad message magic (%d bytes, starts %q)", len(magic), head)
 	}
 	m := &Message{
 		HeaderBytes: d.Bytes32(),

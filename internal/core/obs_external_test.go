@@ -123,6 +123,7 @@ func TestServerCountsHandlerErrors(t *testing.T) {
 		{"integrity", errHandler{err: core.ErrIntegrity}, "integrity"},
 		{"other", errHandler{err: errors.New("disk full")}, "other"},
 		{"panic", errHandler{doPanic: true}, "panic"},
+		{"oversized", errHandler{err: errors.New(strings.Repeat("x", 1<<20))}, "other"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := obs.NewRegistry()
@@ -168,6 +169,9 @@ func TestServerCountsHandlerErrors(t *testing.T) {
 			}
 			if !strings.Contains(logged, `class=`+tc.class) {
 				t.Errorf("handler_error event missing class=%s:\n%s", tc.class, logged)
+			}
+			if len(logged) > 1024 {
+				t.Errorf("one handler error logged %d bytes, want <= 1024", len(logged))
 			}
 		})
 	}

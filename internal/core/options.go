@@ -15,8 +15,7 @@ import (
 )
 
 // Option configures a protocol party. Constructors take a variadic
-// list of options; the legacy Options struct remains available through
-// WithOptions for callers that have not migrated yet.
+// list of options and fold them into one Options value.
 type Option func(*Options)
 
 // WithIdentity sets the party's name, key pair and certificate
@@ -117,42 +116,6 @@ func WithReplicator(r Replicator) Option {
 // hit each other's verifications.
 func WithVerifyCache(c *evidence.VerifyCache) Option {
 	return func(o *Options) { o.verifyCache = c }
-}
-
-// WithOptions applies a legacy Options struct wholesale, preserving
-// any store or TTP id set by earlier options.
-//
-// Deprecated: construct parties with individual With* options instead.
-func WithOptions(legacy Options) Option {
-	return func(o *Options) {
-		store, ttpID, journal, vcache, deadline, caPub, cold, repl :=
-			o.store, o.ttpID, o.journal, o.verifyCache, o.deadline, o.caPub, o.cold, o.repl
-		*o = legacy
-		if o.repl == nil {
-			o.repl = repl
-		}
-		if o.cold == nil {
-			o.cold = cold
-		}
-		if o.caPub == nil {
-			o.caPub = caPub
-		}
-		if o.store == nil {
-			o.store = store
-		}
-		if o.ttpID == "" {
-			o.ttpID = ttpID
-		}
-		if o.journal == nil {
-			o.journal = journal
-		}
-		if o.verifyCache == nil {
-			o.verifyCache = vcache
-		}
-		if !o.deadline.enabled() {
-			o.deadline = deadline
-		}
-	}
 }
 
 // buildOptions folds a variadic option list into one Options value.

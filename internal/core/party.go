@@ -90,11 +90,9 @@ func applyDeadline(ctx context.Context, conn transport.Conn) func() {
 // other's public keys before use.
 type Directory func(name string) (*pki.Certificate, error)
 
-// Options configure a protocol party.
-//
-// Deprecated: pass functional options (WithIdentity, WithClock, …) to
-// the constructors instead; an existing struct can be bridged with
-// WithOptions.
+// Options is the configuration a constructor's functional options
+// (WithIdentity, WithClock, …) fill in; callers pass those options
+// rather than building the struct themselves.
 type Options struct {
 	// Identity is this party's name, key pair and certificate.
 	Identity *pki.Identity
@@ -117,8 +115,7 @@ type Options struct {
 	ResponseTimeout time.Duration
 
 	// store and ttpID are set by WithStore / WithTTPID; only NewProvider
-	// consults them. Unexported so the legacy struct stays source-
-	// compatible.
+	// consults them.
 	store storage.Store
 	ttpID string
 	// journal is set by WithJournal: the crash-safe WAL every protocol
@@ -428,37 +425,6 @@ func (p *party) checkInbound(m *Message) (*evidence.Header, *evidence.Evidence, 
 	p.ctr.Inc(metrics.DecryptOps, 1)
 	p.ctr.Inc(metrics.VerifyOps, 2)
 	return h, ev, nil
-}
-
-// checkInboundNoVerify runs every inbound check EXCEPT the two
-// signature verifications: decode, addressing, replay guard, time
-// limit, peer key resolution and decryption. The sender's key handle is
-// returned so the caller can verify the evidence signatures itself —
-// the batch-drain path collects a round of these and verifies them in
-// one cryptoutil.VerifyBatch call.
-func (p *party) checkInboundNoVerify(m *Message) (*evidence.Header, *evidence.Evidence, cryptoutil.PublicKey, error) {
-	h, err := m.Header()
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("%w: %v", ErrProtocol, err)
-	}
-	if h.RecipientID != p.id.Name {
-		return nil, nil, nil, fmt.Errorf("%w: message for %q arrived at %q", ErrProtocol, h.RecipientID, p.id.Name)
-	}
-	if err := p.guard.Check(h.TxnID+"|"+h.SenderID, h.Seq, h.Nonce, h.TimeLimit, p.clk.Now()); err != nil {
-		p.ctr.Inc(metrics.ReplaysSeen, 1)
-		return nil, nil, nil, fmt.Errorf("%w: %v", ErrProtocol, err)
-	}
-	senderKey, err := p.peerKey(h.SenderID)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	ev, err := evidence.OpenNoVerify(p.id.Key.Signer(), m.Sealed, h)
-	if err != nil {
-		p.ctr.Inc(metrics.AuthFailures, 1)
-		return nil, nil, nil, fmt.Errorf("%w: %v", ErrProtocol, err)
-	}
-	p.ctr.Inc(metrics.DecryptOps, 1)
-	return h, ev, senderKey, nil
 }
 
 // pumpFor returns the single pump owning conn's receive side. Repeated

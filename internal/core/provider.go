@@ -88,24 +88,6 @@ func NewProvider(opts ...Option) (*Provider, error) {
 	return b, nil
 }
 
-// NewProviderFromOptions constructs a provider engine over the given
-// store from a legacy Options struct.
-//
-// Deprecated: use NewProvider with WithStore (and WithTTPID for
-// provider-initiated Resolve).
-func NewProviderFromOptions(o Options, store storage.Store) (*Provider, error) {
-	p, err := newParty(o)
-	if err != nil {
-		return nil, err
-	}
-	if store == nil {
-		store = storage.NewMem(p.clk.Now)
-	}
-	b := &Provider{party: p, store: store, ttpID: o.ttpID, txnObject: make(map[string]string)}
-	b.initCheckpointHooks()
-	return b, nil
-}
-
 // initCheckpointHooks wires the provider's role-specific state — the
 // transaction → object-key map — into the checkpoint snapshot: each
 // live transaction's binding rides the snapshot's note field, so a
@@ -162,47 +144,6 @@ func (b *Provider) auditAppend(kind, txn, detail string) {
 	}
 }
 
-// Serve handles messages on one client connection until it closes or
-// ctx terminates (surfacing ErrCancelled). Run it in a goroutine per
-// accepted connection — or hand the Provider to a core.Server, which
-// does that plus per-transaction locking and graceful shutdown.
-func (b *Provider) Serve(ctx context.Context, conn transport.Conn) error {
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		select {
-		case <-ctx.Done():
-			conn.Close() // unblock the pending Recv
-		case <-done:
-		}
-	}()
-	for {
-		raw, err := conn.Recv()
-		if err != nil {
-			if cerr := CheckContext(ctx); cerr != nil {
-				return cerr
-			}
-			if errors.Is(err, transport.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		reply, _ := b.Handle(raw)
-		if reply == nil {
-			// Unverifiable garbage or deliberate silence: no reply at all
-			// (responding to an unauthenticated blob would create an
-			// oracle).
-			continue
-		}
-		if err := conn.Send(reply); err != nil {
-			if cerr := CheckContext(ctx); cerr != nil {
-				return cerr
-			}
-			return err
-		}
-	}
-}
-
 // Handle processes one encoded message and returns the encoded reply
 // (nil when the protocol calls for silence) together with the handling
 // error. A non-nil reply can accompany a non-nil error: the reply is
@@ -218,16 +159,6 @@ func (b *Provider) Handle(raw []byte) ([]byte, error) {
 	b.ctr.Inc(metrics.MsgsSent, 1)
 	b.ctr.Inc(metrics.BytesSent, int64(len(enc)))
 	return enc, err
-}
-
-// HandleRaw processes one encoded message and returns the encoded
-// reply (nil when the protocol calls for silence), swallowing the
-// handling error.
-//
-// Deprecated: use Handle, which reports why a message was rejected.
-func (b *Provider) HandleRaw(raw []byte) []byte {
-	reply, _ := b.Handle(raw)
-	return reply
 }
 
 func (b *Provider) handle(raw []byte) (*Message, error) {
@@ -253,8 +184,7 @@ func (b *Provider) handle(raw []byte) (*Message, error) {
 }
 
 // dispatch routes one validated inbound message to its per-kind
-// handler. Both the serial path (handle) and the batch-drain path
-// (HandleBatch) converge here after their respective verification.
+// handler.
 func (b *Provider) dispatch(h *evidence.Header, ev *evidence.Evidence, payload []byte) (*Message, error) {
 	if b.expireIfStale(h) {
 		// The session blew its step deadline; it has just been driven to

@@ -61,12 +61,9 @@ type Server struct {
 
 	panics atomic.Int64
 
-	// Admission control (ServerMaxInflight / ServerConnPending).
-	// maxInflight==0 means unlimited; pendingCap<=1 keeps the strict
-	// serial per-connection path.
+	// Admission control (ServerMaxInflight). maxInflight==0 means
+	// unlimited.
 	maxInflight int64
-	pendingCap  int
-	batchCap    int
 	inflightNow atomic.Int64
 
 	// Expiry reaper (ServerExpiry). The goroutine starts in NewServer
@@ -79,7 +76,8 @@ type Server struct {
 	expOnce  sync.Once
 }
 
-// ServerOption adjusts a Server's observability wiring.
+// ServerOption configures a Server: metrics registry, event logger,
+// admission control and the expiry reaper.
 type ServerOption func(*serverConfig)
 
 type serverConfig struct {
@@ -87,8 +85,6 @@ type serverConfig struct {
 	log *obs.Logger
 
 	maxInflight int64
-	pendingCap  int
-	batchCap    int
 
 	expClk   clock.Clock
 	expEvery time.Duration
@@ -117,26 +113,6 @@ func ServerMaxInflight(n int) ServerOption {
 	return func(c *serverConfig) { c.maxInflight = int64(n) }
 }
 
-// ServerConnPending sets the per-connection pipeline depth: how many
-// messages from one connection may be handled at once, replies sent as
-// each completes. 1 (the default) preserves the strict serial
-// receive→handle→reply loop; >1 enables pipelining with receive-side
-// backpressure once the depth is reached.
-func ServerConnPending(n int) ServerOption {
-	return func(c *serverConfig) { c.pendingCap = n }
-}
-
-// ServerBatchDrain enables batched inbound verification for handlers
-// that implement BatchHandler (the Provider does): each connection
-// round blocks for one message, drains up to n-1 more that have
-// already arrived, and verifies the whole round's evidence signatures
-// in one batched call. n <= 1 (the default) keeps the serial path.
-// Mutually exclusive with ServerConnPending's pipelining; batch drain
-// wins when both are set.
-func ServerBatchDrain(n int) ServerOption {
-	return func(c *serverConfig) { c.batchCap = n }
-}
-
 // ServerExpiry runs a reaper goroutine that calls expire with the
 // current time every interval; expire returns how many sessions it
 // expired (counted on server_expired_sessions_total). Wire a
@@ -162,8 +138,6 @@ func NewServer(h Handler, opts ...ServerOption) *Server {
 		log:         cfg.log,
 		conns:       make(map[transport.Conn]struct{}),
 		maxInflight: cfg.maxInflight,
-		pendingCap:  cfg.pendingCap,
-		batchCap:    cfg.batchCap,
 	}
 	if cfg.expFn != nil {
 		s.expClk, s.expEvery, s.expFn = cfg.expClk, cfg.expEvery, cfg.expFn
@@ -295,23 +269,13 @@ func (s *Server) serveConn(ctx context.Context, conn transport.Conn) {
 		case <-done:
 		}
 	}()
-	if s.batchCap > 1 {
-		if bh, ok := s.h.(BatchHandler); ok {
-			s.serveConnBatched(conn, bh)
-			return
-		}
-	}
-	if s.pendingCap > 1 {
-		s.serveConnPipelined(conn)
-		return
-	}
 	for {
 		raw, err := conn.Recv()
 		if err != nil {
 			return
 		}
 		if s.overloaded() {
-			s.shed(conn, nil, raw)
+			s.shed(conn, raw)
 			continue
 		}
 		if !s.beginMsg() {
@@ -343,56 +307,6 @@ func (s *Server) serveConn(ctx context.Context, conn transport.Conn) {
 	}
 }
 
-// serveConnPipelined is the depth-N variant of the per-connection
-// loop: up to pendingCap messages from this connection are handled
-// concurrently (still serialized per transaction by the shard locks),
-// replies sent as each completes under a per-connection send mutex.
-// The slot channel gives receive-side backpressure — once the depth is
-// reached the loop stops reading, which is TCP's own flow control
-// doing the queueing instead of this process's memory.
-func (s *Server) serveConnPipelined(conn transport.Conn) {
-	var sendMu sync.Mutex
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	slots := make(chan struct{}, s.pendingCap)
-	for {
-		raw, err := conn.Recv()
-		if err != nil {
-			return
-		}
-		if s.overloaded() {
-			s.shed(conn, &sendMu, raw)
-			continue
-		}
-		slots <- struct{}{}
-		if !s.beginMsg() {
-			<-slots
-			return
-		}
-		s.inflightNow.Add(1)
-		wg.Add(1)
-		go func(raw []byte) {
-			defer wg.Done()
-			defer func() { <-slots }()
-			start := time.Now()
-			reply, err := s.handleOne(raw)
-			s.met.latency.ObserveSince(start)
-			s.met.msgs.Inc()
-			s.inflightNow.Add(-1)
-			s.inflight.Done()
-			if err != nil {
-				s.recordHandlerError(err)
-			}
-			transport.Recycle(raw)
-			if reply != nil {
-				sendMu.Lock()
-				conn.Send(reply)
-				sendMu.Unlock()
-			}
-		}(raw)
-	}
-}
-
 // overloaded reports whether admission control refuses new work right
 // now. The load check is read-then-add, so a burst can briefly exceed
 // the cap by the number of racing connections — an approximate cap is
@@ -407,16 +321,11 @@ func (s *Server) overloaded() bool {
 // exists to protect the server from work, and two RSA signatures per
 // refusal would make the refusal as expensive as the service (see the
 // cost note on errorReply). The frame is a retry hint, not evidence.
-func (s *Server) shed(conn transport.Conn, sendMu *sync.Mutex, raw []byte) {
+func (s *Server) shed(conn transport.Conn, raw []byte) {
 	transport.Recycle(raw)
 	s.met.shed.Inc()
 	s.log.Warn("overload_shed", obs.F("inflight", s.inflightNow.Load()))
-	frame := encodeControl(ctlOverloaded, "server at max in-flight handlers")
-	if sendMu != nil {
-		sendMu.Lock()
-		defer sendMu.Unlock()
-	}
-	conn.Send(frame)
+	conn.Send(encodeControl(ctlOverloaded, "server at max in-flight handlers"))
 }
 
 // beginMsg registers an in-flight handling unless the server is
@@ -454,6 +363,11 @@ func (s *Server) handleOne(raw []byte) (reply []byte, err error) {
 	return s.h.Handle(raw)
 }
 
+// maxLoggedErr bounds the error text of one handler_error event.
+// Decoders quote the bytes they reject into their errors, and before
+// authentication a peer chooses up to wire.MaxFrameSize of them.
+const maxLoggedErr = 256
+
 // recordHandlerError counts a handler error under its class and emits
 // a structured event. Runs off the reply path's critical section (no
 // locks held), so instrumentation never extends a transaction's shard
@@ -462,7 +376,11 @@ func (s *Server) recordHandlerError(err error) {
 	class := errorClass(err)
 	s.met.errs.Inc()
 	s.met.errByClass[class].Inc()
-	s.log.Warn("handler_error", obs.F("class", class), obs.F("err", err.Error()))
+	msg := err.Error()
+	if len(msg) > maxLoggedErr {
+		msg = msg[:maxLoggedErr] + "..."
+	}
+	s.log.Warn("handler_error", obs.F("class", class), obs.F("err", msg))
 }
 
 // txnOf extracts the transaction ID from an encoded message without

@@ -12,10 +12,9 @@ import (
 
 	"repro/internal/auditlog"
 	"repro/internal/core"
-	"repro/internal/cryptoutil"
 	"repro/internal/deploy"
-	"repro/internal/pki"
-	"repro/internal/storage"
+	"repro/internal/evidence"
+	"repro/internal/obs"
 	"repro/internal/transport"
 )
 
@@ -425,44 +424,33 @@ func TestContextCancelUnblocksMidProtocol(t *testing.T) {
 	}
 }
 
-// TestDeprecatedOptionsShimStillWorks: the legacy Options struct,
-// routed through the deprecated constructors, still produces a working
-// provider/client pair.
-func TestDeprecatedOptionsShimStillWorks(t *testing.T) {
-	d := newDeploy(t, 5*time.Second) // supplies the CA
-	now := time.Now()
-	bobID, err := pki.NewIdentity(d.CA, "bob2", cryptoutil.InsecureTestKey(60), now.Add(-time.Hour), now.Add(time.Hour))
-	if err != nil {
+// TestServerGarbageFrameMidConnection: an undecodable frame between
+// two uploads on one connection is counted as exactly one protocol
+// error and otherwise ignored. The serial loop handles frames in
+// arrival order, so the second upload can only succeed if the garbage
+// drew no reply (its reply would be read as the upload's answer) and
+// left the connection open.
+func TestServerGarbageFrameMidConnection(t *testing.T) {
+	d := newDeploy(t, 5*time.Second)
+	ctx := context.Background()
+	conn := mustDial(t, d)
+	if _, err := d.Client.Upload(ctx, conn, "txn-ok-1", "a", []byte("a")); err != nil {
 		t.Fatal(err)
 	}
-	aliceID, err := pki.NewIdentity(d.CA, "alice2", cryptoutil.InsecureTestKey(61), now.Add(-time.Hour), now.Add(time.Hour))
-	if err != nil {
+	protoErrs := obs.Default().Counter(obs.Labeled("server_handler_errors_total", "class", "protocol"))
+	before := protoErrs.Value()
+	if err := conn.Send([]byte("not a tpnr message")); err != nil {
 		t.Fatal(err)
 	}
-	store := storage.NewMem(nil)
-	provider, err := core.NewProviderFromOptions(core.Options{
-		Identity:  bobID,
-		CAKey:     d.CA.PublicKey(),
-		Directory: core.Directory(d.CA.Lookup),
-	}, store)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := d.Client.Upload(ctx, conn, "txn-ok-2", "b", []byte("b")); err != nil {
+		t.Fatalf("upload after garbage frame: %v", err)
 	}
-	client, err := core.NewClientFromOptions(core.Options{
-		Identity:  aliceID,
-		CAKey:     d.CA.PublicKey(),
-		Directory: core.Directory(d.CA.Lookup),
-	}, "bob2", deploy.TTPName)
-	if err != nil {
-		t.Fatal(err)
+	if got := protoErrs.Value() - before; got != 1 {
+		t.Errorf("protocol handler errors rose by %d, want 1", got)
 	}
-	a, b := transport.Pipe(0)
-	go provider.Serve(context.Background(), b)
-	defer a.Close()
-	if _, err := client.Upload(context.Background(), a, "legacy-1", "k", []byte("v")); err != nil {
-		t.Fatalf("legacy-constructed pair failed: %v", err)
-	}
-	if _, err := store.Get("k"); err != nil {
-		t.Fatal("legacy provider did not store the object")
+	for _, txn := range []string{"txn-ok-1", "txn-ok-2"} {
+		if _, err := d.Provider.Archive().ByKind(txn, evidence.RolePeer, evidence.KindNRO); err != nil {
+			t.Errorf("%s: NRO not archived: %v", txn, err)
+		}
 	}
 }

@@ -2,14 +2,11 @@ package core_test
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/cryptoutil"
 	"repro/internal/deploy"
 	"repro/internal/evidence"
@@ -101,60 +98,6 @@ func TestSettleSessionUnknownTxn(t *testing.T) {
 	}
 }
 
-func TestServerBatchDrain(t *testing.T) {
-	d, err := deploy.New(deploy.Config{
-		TestKeys:           true,
-		ResponseTimeout:    5 * time.Second,
-		ProviderServerOpts: []core.ServerOption{core.ServerBatchDrain(16)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(d.Close)
-
-	// Concurrent clients hammer the batched server; every upload and the
-	// follow-up download must come back correct and in order.
-	var wg sync.WaitGroup
-	errs := make([]error, 4)
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			conn, err := d.DialProvider()
-			if err != nil {
-				errs[w] = err
-				return
-			}
-			defer conn.Close()
-			for i := 0; i < 8; i++ {
-				txn := fmt.Sprintf("txn-b%d-%d", w, i)
-				obj := fmt.Sprintf("batch/%d-%d", w, i)
-				if _, err := d.Client.Upload(context.Background(), conn, txn, obj, []byte(obj)); err != nil {
-					errs[w] = fmt.Errorf("upload %s: %w", txn, err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Settlement rides the same batched connection path.
-	conn := mustDial(t, d)
-	txns := []string{"txn-b0-0", "txn-b0-1", "txn-b0-2"}
-	res, err := d.Client.SettleSession(context.Background(), conn, "sess-b", txns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(res.Receipt.TxnIDs); got != 3 {
-		t.Fatalf("settled %d txns, want 3", got)
-	}
-}
-
 // TestSchemeEd25519Deployment runs the full protocol under the fast
 // scheme: every identity (CA included) is Ed25519, so certificates,
 // evidence signatures, sealing and aggregate receipts all exercise the
@@ -194,40 +137,5 @@ func TestSchemeEd25519Deployment(t *testing.T) {
 	}
 	if !dres.IntegrityOK {
 		t.Error("integrity link not verified under ed25519")
-	}
-}
-
-// TestBatchDrainFaultIsolation feeds the batched provider a round where
-// one message is corrupt: the good ones must still settle and the bad
-// one must be the only failure.
-func TestBatchDrainFaultIsolation(t *testing.T) {
-	d, err := deploy.New(deploy.Config{
-		TestKeys:           true,
-		ResponseTimeout:    5 * time.Second,
-		ProviderServerOpts: []core.ServerOption{core.ServerBatchDrain(16)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(d.Close)
-
-	conn := mustDial(t, d)
-	if _, err := d.Client.Upload(context.Background(), conn, "txn-ok-1", "a", []byte("a")); err != nil {
-		t.Fatal(err)
-	}
-	// Raw garbage on the wire: the batched path must not take down the
-	// connection loop or poison subsequent messages.
-	if err := conn.Send([]byte("not a tpnr message")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Client.Upload(context.Background(), conn, "txn-ok-2", "b", []byte("b")); err != nil {
-		// The garbage frame yields no reply; if the pump surfaced an
-		// error here it must be a timeout, not a protocol failure.
-		if !errors.Is(err, core.ErrTimeout) {
-			t.Fatalf("upload after garbage frame: %v", err)
-		}
-	}
-	if _, err := d.Provider.Archive().ByKind("txn-ok-1", evidence.RolePeer, evidence.KindNRO); err != nil {
-		t.Error("good upload lost after corrupt frame")
 	}
 }

@@ -182,35 +182,6 @@ func (e *ShardedEngine) HandleTxn(txn string, raw []byte) ([]byte, error) {
 	return e.shards[i].Handle(raw)
 }
 
-// HandleBatch implements BatchHandler: the round's frames are grouped
-// by owning shard, each group batch-verified by its shard, and the
-// replies reassembled in frame order so the Server's batched drain
-// path works unchanged over a sharded engine.
-func (e *ShardedEngine) HandleBatch(raws [][]byte) ([][]byte, []error) {
-	replies := make([][]byte, len(raws))
-	errs := make([]error, len(raws))
-	groups := make(map[int][]int, len(e.shards))
-	for fi, raw := range raws {
-		si := 0
-		if txn, ok := txnOf(raw); ok {
-			si = e.routeIndex(txn)
-		}
-		groups[si] = append(groups[si], fi)
-	}
-	for si, idxs := range groups {
-		sub := make([][]byte, len(idxs))
-		for j, fi := range idxs {
-			sub[j] = raws[fi]
-		}
-		srep, serr := e.shards[si].HandleBatch(sub)
-		e.met.msgs[si].Add(int64(len(idxs)))
-		for j, fi := range idxs {
-			replies[fi], errs[fi] = srep[j], serr[j]
-		}
-	}
-	return replies, errs
-}
-
 // SetMisbehavior broadcasts the behaviour switch to every shard.
 func (e *ShardedEngine) SetMisbehavior(m Misbehavior) {
 	for _, p := range e.shards {
@@ -403,11 +374,10 @@ func (e *ShardedEngine) ExpireStale(now time.Time) int {
 }
 
 // Compile-time wiring checks: both engine shapes serve the daemons
-// interchangeably, and the sharded engine keeps the zero-copy and
-// batched dispatch paths.
+// interchangeably, and the sharded engine keeps the zero-copy
+// dispatch path.
 var (
 	_ ProviderEngine = (*Provider)(nil)
 	_ ProviderEngine = (*ShardedEngine)(nil)
 	_ TxnHandler     = (*ShardedEngine)(nil)
-	_ BatchHandler   = (*ShardedEngine)(nil)
 )

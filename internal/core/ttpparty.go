@@ -34,15 +34,7 @@ type TTPParty struct {
 // NewTTPParty constructs the plumbing for a TTP server from functional
 // options.
 func NewTTPParty(opts ...Option) (*TTPParty, error) {
-	return NewTTPPartyFromOptions(buildOptions(opts))
-}
-
-// NewTTPPartyFromOptions constructs the plumbing for a TTP server from
-// a legacy Options struct.
-//
-// Deprecated: use NewTTPParty with functional options.
-func NewTTPPartyFromOptions(o Options) (*TTPParty, error) {
-	p, err := newParty(o)
+	p, err := newParty(buildOptions(opts))
 	if err != nil {
 		return nil, err
 	}

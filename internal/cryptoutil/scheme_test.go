@@ -292,68 +292,3 @@ func TestKeyPairBridge(t *testing.T) {
 		t.Errorf("zero KeyPair must have no signer and zero scheme")
 	}
 }
-
-// TestVerifyBatch covers the batch dispatcher: a clean mixed-scheme
-// batch passes, and failures are pinpointed per item without poisoning
-// their neighbors.
-func TestVerifyBatch(t *testing.T) {
-	rsaS := goldenSigner(t, SchemeRSA)
-	edS := goldenSigner(t, SchemeEd25519)
-
-	mk := func(sg Signer, i int) BatchItem {
-		msg := []byte{byte(i), byte(i >> 8), 'm'}
-		sig, err := sg.Sign(msg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return BatchItem{Pub: sg.Public(), Msg: msg, Sig: sig}
-	}
-
-	items := make([]BatchItem, 0, 32)
-	for i := 0; i < 32; i++ {
-		if i%2 == 0 {
-			items = append(items, mk(rsaS, i))
-		} else {
-			items = append(items, mk(edS, i))
-		}
-	}
-	if err := VerifyBatch(items); err != nil {
-		t.Fatalf("clean mixed batch failed: %v", err)
-	}
-	if err := VerifyBatch(nil); err != nil {
-		t.Fatalf("empty batch: %v", err)
-	}
-
-	// Corrupt two items (one per scheme) and drop the key from a third:
-	// exactly those indices must be reported.
-	items[6].Sig = append([]byte(nil), items[6].Sig...)
-	items[6].Sig[10] ^= 0xFF
-	items[9].Msg = []byte("substituted")
-	items[20].Pub = nil
-	err := VerifyBatch(items)
-	var be *BatchError
-	if !errors.As(err, &be) {
-		t.Fatalf("corrupt batch: got %v, want *BatchError", err)
-	}
-	if len(be.Failed) != 3 {
-		t.Fatalf("Failed = %v, want exactly indices 6, 9, 20", be.Failed)
-	}
-	for _, i := range []int{6, 9, 20} {
-		if be.Failed[i] == nil {
-			t.Errorf("index %d missing from Failed: %v", i, be.Failed)
-		}
-	}
-
-	// Single-item batch takes the scalar path.
-	if err := VerifyBatch(items[:1]); err != nil {
-		t.Fatalf("single-item batch: %v", err)
-	}
-	bad := []BatchItem{{Pub: rsaS.Public(), Msg: []byte("m"), Sig: []byte("short")}}
-	err = VerifyBatch(bad)
-	if !errors.As(err, &be) || be.Failed[0] == nil {
-		t.Fatalf("single bad item: got %v", err)
-	}
-	if !errors.Is(be.Failed[0], ErrSchemeMismatch) {
-		t.Errorf("short sig error = %v, want ErrSchemeMismatch", be.Failed[0])
-	}
-}

@@ -41,80 +41,6 @@ func buildSession(t *testing.T, scheme cryptoutil.Scheme, k int) (evs []*Evidenc
 	return evs, txns, sender, recipient
 }
 
-// TestVerifyBatchFaultIsolation is the satellite-mandated test: one
-// corrupt item in a batch of 64 is pinpointed exactly, for both
-// schemes, with and without a cache.
-func TestVerifyBatchFaultIsolation(t *testing.T) {
-	for _, scheme := range []cryptoutil.Scheme{cryptoutil.SchemeRSA, cryptoutil.SchemeEd25519} {
-		for _, withCache := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%v/cache=%v", scheme, withCache), func(t *testing.T) {
-				evs, _, sender, _ := buildSession(t, scheme, 64)
-				pub := sender.Signer().Public()
-				entries := make([]BatchEntry, len(evs))
-				for i, ev := range evs {
-					entries[i] = BatchEntry{Ev: ev, Sender: pub}
-				}
-				var c *VerifyCache
-				if withCache {
-					c = NewVerifyCache(256)
-				}
-				if failed := VerifyBatch(entries, c); failed != nil {
-					t.Fatalf("clean batch of 64 failed: %v", failed)
-				}
-
-				// Corrupt exactly item 37's header signature.
-				bad := *evs[37]
-				bad.HeaderSig = append([]byte(nil), bad.HeaderSig...)
-				bad.HeaderSig[5] ^= 0xA5
-				entries[37] = BatchEntry{Ev: &bad, Sender: pub}
-				failed := VerifyBatch(entries, c)
-				if len(failed) != 1 || failed[37] == nil {
-					t.Fatalf("failed = %v, want exactly index 37", failed)
-				}
-				if !errors.Is(failed[37], ErrBadHeaderSig) {
-					t.Errorf("error class = %v, want ErrBadHeaderSig", failed[37])
-				}
-				if withCache {
-					// The 63 good entries should now be fully cached: a
-					// re-run of the clean batch must verify from cache alone.
-					hitsBefore, _ := c.Stats()
-					entries[37] = BatchEntry{Ev: evs[37], Sender: pub}
-					if failed := VerifyBatch(entries, c); failed != nil {
-						t.Fatalf("cached re-run failed: %v", failed)
-					}
-					hitsAfter, _ := c.Stats()
-					if hitsAfter-hitsBefore < 2*63 {
-						t.Errorf("cache hits grew by %d, want >= %d", hitsAfter-hitsBefore, 2*63)
-					}
-				}
-			})
-		}
-	}
-}
-
-// TestVerifyBatchEntryErrors checks nil-entry isolation and data-sig
-// classification.
-func TestVerifyBatchEntryErrors(t *testing.T) {
-	evs, _, sender, _ := buildSession(t, cryptoutil.SchemeRSA, 4)
-	pub := sender.Signer().Public()
-	bad := *evs[2]
-	bad.DataSig = append([]byte(nil), bad.DataSig...)
-	bad.DataSig[0] ^= 1
-	entries := []BatchEntry{
-		{Ev: evs[0], Sender: pub},
-		{Ev: nil, Sender: pub},
-		{Ev: &bad, Sender: pub},
-		{Ev: evs[3], Sender: nil},
-	}
-	failed := VerifyBatch(entries, nil)
-	if len(failed) != 3 {
-		t.Fatalf("failed = %v, want indices 1,2,3", failed)
-	}
-	if !errors.Is(failed[2], ErrBadDataSig) {
-		t.Errorf("index 2 error = %v, want ErrBadDataSig", failed[2])
-	}
-}
-
 // TestAggregateReceipt covers the settle flow: K=64 uploads settle
 // with one signature, each leaf verifiable independently; forged
 // leaves, substituted evidence and cross-txn proofs are rejected.

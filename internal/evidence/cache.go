@@ -216,93 +216,3 @@ func OpenCachedWith(recipient cryptoutil.Signer, senderPub cryptoutil.PublicKey,
 func OpenCached(recipient cryptoutil.KeyPair, senderPub *rsa.PublicKey, sealed []byte, plainHeader *Header, c *VerifyCache) (*Evidence, error) {
 	return OpenCachedWith(recipient.Signer(), cryptoutil.NewRSAPublicKey(senderPub), sealed, plainHeader, c)
 }
-
-// BatchEntry is one (evidence, claimed sender) pair in a batch
-// verification.
-type BatchEntry struct {
-	Ev     *Evidence
-	Sender cryptoutil.PublicKey
-}
-
-// VerifyBatch verifies many opened evidence items in one call — the
-// server's inbound drain path. Cache hits are peeled off first; the
-// remaining signatures (two per evidence: header and data hash) go
-// through cryptoutil.VerifyBatch, which groups per scheme and fans out
-// across workers, falling back to single verifications to pinpoint
-// failures. Successes are inserted into the cache.
-//
-// The result maps evidence index → verification error for exactly the
-// entries that failed; a nil map means every entry verified. Failures
-// are isolated: one corrupt entry never poisons its batch neighbors.
-func VerifyBatch(entries []BatchEntry, c *VerifyCache) map[int]error {
-	var failed map[int]error
-	fail := func(i int, err error) {
-		if failed == nil {
-			failed = make(map[int]error)
-		}
-		failed[i] = err
-	}
-	type pending struct {
-		entry int      // index into entries
-		key   [32]byte // cache key to insert on success
-		bad   error    // which evidence error class a failure maps to
-	}
-	items := make([]cryptoutil.BatchItem, 0, 2*len(entries))
-	meta := make([]pending, 0, 2*len(entries))
-	for i, en := range entries {
-		if en.Ev == nil || en.Sender == nil {
-			fail(i, fmt.Errorf("%w: missing evidence or sender key", ErrMalformed))
-			continue
-		}
-		sigs := []struct {
-			msg []byte
-			sig []byte
-			bad error
-		}{
-			{en.Ev.Header.Encode(), en.Ev.HeaderSig, ErrBadHeaderSig},
-			{en.Ev.Header.digestBytes(), en.Ev.DataSig, ErrBadDataSig},
-		}
-		for _, sg := range sigs {
-			var k [32]byte
-			if c != nil {
-				k = cacheKey(en.Sender, sg.msg, sg.sig)
-				if c.lookup(k) {
-					continue
-				}
-			}
-			items = append(items, cryptoutil.BatchItem{Pub: en.Sender, Msg: sg.msg, Sig: sg.sig})
-			meta = append(meta, pending{entry: i, key: k, bad: sg.bad})
-		}
-	}
-
-	var batchFail map[int]error
-	if err := cryptoutil.VerifyBatch(items); err != nil {
-		be, ok := err.(*cryptoutil.BatchError)
-		if !ok {
-			// Defensive: treat an untyped error as "everything failed".
-			for j := range items {
-				if batchFail == nil {
-					batchFail = make(map[int]error, len(items))
-				}
-				batchFail[j] = err
-			}
-		} else {
-			batchFail = be.Failed
-		}
-	}
-	for j, m := range meta {
-		if err, bad := batchFail[j]; bad {
-			if _, seen := failed[m.entry]; !seen {
-				fail(m.entry, fmt.Errorf("%w: %v", m.bad, err))
-			}
-			continue
-		}
-		if c != nil {
-			c.insert(m.key)
-		}
-	}
-	if len(failed) == 0 {
-		return nil
-	}
-	return failed
-}

@@ -291,15 +291,6 @@ func Open(recipient cryptoutil.KeyPair, senderPub *rsa.PublicKey, sealed []byte,
 	return OpenWith(recipient.Signer(), cryptoutil.NewRSAPublicKey(senderPub), sealed, plainHeader)
 }
 
-// OpenNoVerify decrypts and decodes sealed evidence WITHOUT checking
-// its signatures. The caller must verify (VerifyWith or VerifyBatch)
-// before trusting the result — the server's batch-drain path uses this
-// to decrypt a drained round first, then verifies every signature in
-// one batched call.
-func OpenNoVerify(recipient cryptoutil.Signer, sealed []byte, plainHeader *Header) (*Evidence, error) {
-	return open(recipient, sealed, plainHeader)
-}
-
 // open decrypts and decodes sealed evidence without verifying the
 // signatures; OpenWith and OpenCached layer their verification on top.
 func open(recipient cryptoutil.Signer, sealed []byte, plainHeader *Header) (*Evidence, error) {

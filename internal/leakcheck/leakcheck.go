@@ -1,7 +1,7 @@
 // Package leakcheck fails a test that leaves goroutines behind. The
 // resilience layer is made of background loops — per-connection
-// serving goroutines, pipeline workers, the expiry reaper, pump
-// readers — and every one of them has a documented stop condition;
+// serving goroutines, the expiry reaper, pump readers — and every one
+// of them has a documented stop condition;
 // this helper makes "did it actually stop" an assertion instead of a
 // hope. Usage:
 //

@@ -16,7 +16,7 @@ package ttp
 
 import (
 	"context"
-	"errors"
+	"fmt"
 	"sync"
 
 	"repro/internal/auditlog"
@@ -76,14 +76,6 @@ func New(dial Dialer, opts ...core.Option) (*Server, error) {
 	return &Server{partyAlias: p, dial: dial, targets: make(map[string]auditTarget)}, nil
 }
 
-// NewFromOptions constructs a TTP server from a legacy core.Options
-// struct.
-//
-// Deprecated: use New with functional options.
-func NewFromOptions(o core.Options, dial Dialer) (*Server, error) {
-	return New(dial, core.WithOptions(o))
-}
-
 // SetAuditLog attaches a tamper-evident event log; every subsequent
 // resolve event is appended to it.
 func (s *Server) SetAuditLog(l *auditlog.Log) {
@@ -102,43 +94,6 @@ func (s *Server) auditAppend(kind, txn, detail string) {
 	}
 }
 
-// Serve handles resolve traffic on one connection until it closes or
-// ctx terminates (surfacing core.ErrCancelled).
-func (s *Server) Serve(ctx context.Context, conn transport.Conn) error {
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		select {
-		case <-ctx.Done():
-			conn.Close() // unblock the pending Recv
-		case <-done:
-		}
-	}()
-	for {
-		raw, err := conn.Recv()
-		if err != nil {
-			if cerr := core.CheckContext(ctx); cerr != nil {
-				return cerr
-			}
-			if errors.Is(err, transport.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		reply, _ := s.Handle(raw)
-		transport.Recycle(raw) // Handle copied what it kept
-		if reply == nil {
-			continue
-		}
-		if err := conn.Send(reply); err != nil {
-			if cerr := core.CheckContext(ctx); cerr != nil {
-				return cerr
-			}
-			return err
-		}
-	}
-}
-
 // Handle processes one encoded resolve request and returns the encoded
 // response for the requester (nil for unverifiable garbage, which gets
 // no reply) plus the handling error. The in-line peer query is bounded
@@ -149,7 +104,7 @@ func (s *Server) Handle(raw []byte) ([]byte, error) {
 	s.Counters().Inc(metrics.MsgsRecv, 1)
 	m, err := core.DecodeMessage(raw)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %v", core.ErrProtocol, err)
 	}
 	resp, err := s.handleResolve(m)
 	if resp == nil {
@@ -159,15 +114,6 @@ func (s *Server) Handle(raw []byte) ([]byte, error) {
 	s.Counters().Inc(metrics.MsgsSent, 1)
 	s.Counters().Inc(metrics.BytesSent, int64(len(enc)))
 	return enc, err
-}
-
-// HandleRaw processes one encoded resolve request and returns the
-// encoded response, swallowing the handling error.
-//
-// Deprecated: use Handle.
-func (s *Server) HandleRaw(raw []byte) []byte {
-	reply, _ := s.Handle(raw)
-	return reply
 }
 
 // Compile-time check: the TTP daemon plugs into the concurrent

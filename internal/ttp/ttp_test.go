@@ -1,6 +1,7 @@
 package ttp_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -191,8 +192,12 @@ func TestWrongKindRejected(t *testing.T) {
 
 func TestGarbageSilentlyDropped(t *testing.T) {
 	d := newDeploy(t)
-	if got, _ := d.TTPServer.Handle([]byte("complete garbage")); got != nil {
+	got, err := d.TTPServer.Handle([]byte("complete garbage"))
+	if got != nil {
 		t.Fatalf("TTP answered garbage with %d bytes", len(got))
+	}
+	if !errors.Is(err, core.ErrProtocol) {
+		t.Errorf("err = %v, want ErrProtocol", err)
 	}
 }
 
@@ -224,9 +229,9 @@ func TestUnenrolledSenderDropped(t *testing.T) {
 	}
 }
 
-// TestTTPHandleRawNeverPanics: random garbage at the TTP entry point
+// TestTTPHandleNeverPanics: random garbage at the TTP entry point
 // must neither panic nor elicit a response.
-func TestTTPHandleRawNeverPanics(t *testing.T) {
+func TestTTPHandleNeverPanics(t *testing.T) {
 	d := newDeploy(t)
 	f := func(raw []byte) bool {
 		reply, _ := d.TTPServer.Handle(raw)
