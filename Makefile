@@ -22,7 +22,7 @@ TPNR_SHARDS ?=
 # Default 1 keeps journals unreplicated; chaos-replicated pins 3.
 TPNR_REPLICAS ?=
 
-.PHONY: build vet test race bench bench-smoke bench-e17 bench-json bench-check chaos chaos-short chaos-sharded chaos-replicated obs-smoke shim-guard verify
+.PHONY: build vet test race race-core bench bench-smoke bench-e17 bench-json bench-check chaos chaos-short chaos-sharded chaos-replicated obs-smoke shim-guard verify
 
 build:
 	$(GO) build ./...
@@ -35,6 +35,15 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# race-core reruns, ten times each under the race detector, the tests
+# around the per-party evidence builder's memoized data-hash signature
+# (TestBuilder*, and the private-key budget that pins what it saves) and
+# the expiry reaper test, whose reaper starts ticking before the
+# deployment it reaps exists: a race in either shows in some runs, not
+# in every run, so one pass of `race` is not enough to catch it.
+race-core:
+	$(GO) test -race -count=10 -run 'TestServerExpiryReaper|TestBuilder|TestPrivateKeyBudget' ./internal/core ./internal/evidence ./internal/integration
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -148,7 +157,8 @@ obs-smoke:
 
 # verify is the tier-1 gate: vet, compile everything, a quick chaos
 # pass, the full suite under the race detector (the concurrency tests
-# depend on it; race also reruns chaos with the full seed set), a
-# one-iteration benchmark smoke so the benchmark suite cannot rot, and
-# the E17 scoreboard's own vet + smoke test.
-verify: vet build chaos-short race bench-smoke bench-e17
+# depend on it; race also reruns chaos with the full seed set), the
+# shared-state subset ten times over, a one-iteration benchmark smoke so
+# the benchmark suite cannot rot, and the E17 scoreboard's own vet +
+# smoke test.
+verify: vet build chaos-short race race-core bench-smoke bench-e17

@@ -250,12 +250,11 @@ func (b *Provider) handleAuditChallenge(h *evidence.Header, ev *evidence.Evidenc
 		auditFailuresProvider.Inc()
 		return b.errorReply(h, "audit: cannot rebuild chunk tree: "+err.Error())
 	}
-	resp, err := audit.BuildResponse(b.id.Key.Signer(), b.id.Name, ch, tree, chunks, b.clk.Now())
+	resp, err := audit.BuildResponse(b.signer, b.id.Name, ch, tree, chunks, b.clk.Now())
 	if err != nil {
 		auditFailuresProvider.Inc()
 		return b.errorReply(h, "audit: cannot prove challenge: "+err.Error())
 	}
-	b.ctr.Inc(metrics.SignOps, 1)
 
 	senderKey, err := b.peerKey(h.SenderID)
 	if err != nil {

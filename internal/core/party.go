@@ -171,6 +171,13 @@ type party struct {
 	seqMu    sync.Mutex
 	seqs     map[string]*session.Counter
 
+	// signer is the party's private key, counting the signatures it
+	// computes. builder signs every outbound message with it and lives
+	// here, not in a package-level cache, because its memo is one key's
+	// signature and the identity is fixed for the party's life.
+	signer  cryptoutil.Signer
+	builder *evidence.Builder
+
 	// Tiered evidence storage. cold is the append-only archive terminal
 	// sessions compact into; archived records which transactions have
 	// been moved (and their terminal state) so recovery can skip their
@@ -225,6 +232,10 @@ func newParty(o Options) (*party, error) {
 	if o.Directory == nil {
 		return nil, fmt.Errorf("core: Options.Directory is required")
 	}
+	signer := o.Identity.Key.Signer()
+	if signer == nil {
+		return nil, fmt.Errorf("core: identity %q has no private key", o.Identity.Name)
+	}
 	p := &party{
 		id:       o.Identity,
 		caKey:    caKey,
@@ -263,7 +274,25 @@ func newParty(o Options) (*party, error) {
 	if p.timeout == 0 {
 		p.timeout = DefaultResponseTimeout
 	}
+	p.signer = countedSigner{signer, p.ctr}
+	p.builder = evidence.NewBuilder(p.signer)
 	return p, nil
+}
+
+// countedSigner counts the signatures the party's key actually
+// computes: for a message two, or one when the data-hash signature
+// comes from the builder's memo.
+type countedSigner struct {
+	cryptoutil.Signer
+	ctr *metrics.Counters
+}
+
+func (s countedSigner) Sign(msg []byte) ([]byte, error) {
+	sig, err := s.Signer.Sign(msg)
+	if err == nil {
+		s.ctr.Inc(metrics.SignOps, 1)
+	}
+	return sig, err
 }
 
 // Archive exposes the party's evidence store (for disputes and tests).
@@ -378,11 +407,10 @@ func (p *party) newHeader(kind evidence.Kind, txn, recipient, ttp string, seq ui
 // buildMessage signs and seals evidence for the header and packages it
 // with the payload.
 func (p *party) buildMessage(h *evidence.Header, payload []byte, recipientKey cryptoutil.PublicKey) (*Message, *evidence.Evidence, error) {
-	ev, sealed, err := evidence.BuildFor(p.id.Key.Signer(), recipientKey, h)
+	ev, sealed, err := p.builder.Build(recipientKey, h)
 	if err != nil {
 		return nil, nil, err
 	}
-	p.ctr.Inc(metrics.SignOps, 2)
 	p.ctr.Inc(metrics.EncryptOps, 1)
 	return &Message{HeaderBytes: h.Encode(), Payload: payload, Sealed: sealed}, ev, nil
 }
@@ -417,7 +445,7 @@ func (p *party) checkInbound(m *Message) (*evidence.Header, *evidence.Evidence, 
 	if err != nil {
 		return nil, nil, err
 	}
-	ev, err := evidence.OpenCachedWith(p.id.Key.Signer(), senderKey, m.Sealed, h, p.vcache)
+	ev, err := evidence.OpenCachedWith(p.signer, senderKey, m.Sealed, h, p.vcache)
 	if err != nil {
 		p.ctr.Inc(metrics.AuthFailures, 1)
 		return nil, nil, fmt.Errorf("%w: %v", ErrProtocol, err)

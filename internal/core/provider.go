@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/auditlog"
+	"repro/internal/cryptoutil"
 	"repro/internal/evidence"
 	"repro/internal/faultpoint"
 	"repro/internal/metrics"
@@ -216,11 +217,13 @@ func (b *Provider) dispatch(h *evidence.Header, ev *evidence.Evidence, payload [
 
 // errorReply builds a signed Error message toward the sender of h.
 //
-// Cost note: answering costs the provider two RSA signatures and one
-// hybrid encryption, so a flood of bogus-but-well-formed messages is an
-// asymmetric-work amplifier. Production deployments should rate-limit
-// error replies per peer; the protocol itself is unaffected (silence is
-// always a safe fallback, and the client treats it as a timeout).
+// Cost note: answering costs the provider one signature (over the
+// header; the data-hash signature of an empty payload comes from the
+// evidence builder's memo) and one hybrid encryption, so a flood of
+// bogus-but-well-formed messages is an asymmetric-work amplifier.
+// Production deployments should rate-limit error replies per peer; the
+// protocol itself is unaffected (silence is always a safe fallback, and
+// the client treats it as a timeout).
 func (b *Provider) errorReply(h *evidence.Header, note string) (*Message, error) {
 	senderKey, err := b.peerKey(h.SenderID)
 	if err != nil {
@@ -260,12 +263,24 @@ func (b *Provider) handleUpload(h *evidence.Header, ev *evidence.Evidence, data 
 			return reply, fmt.Errorf("%w: %v", sentinel, herr)
 		}
 	}
-	if !h.MatchesData(data) {
+	// One pass over the payload per digest: SHA-256 here, MD5 inside the
+	// store's Content-MD5 check (§2.2). Put skips that check for a zero
+	// digest, so the MD5 field must be a whole MD5 before the store sees
+	// it. HashOps counts the pass this party runs.
+	mismatch := func() (*Message, error) {
 		b.ctr.Inc(metrics.AuthFailures, 1)
 		return b.errorReply(h, "data does not match NRO digests")
 	}
-	b.ctr.Inc(metrics.HashOps, 2)
-	if _, err := b.store.Put(h.ObjectKey, data, h.DataMD5); err != nil {
+	if h.DataMD5.Alg != cryptoutil.MD5 || len(h.DataMD5.Sum) != cryptoutil.MD5.Size() {
+		return mismatch()
+	}
+	b.ctr.Inc(metrics.HashOps, 1)
+	if !cryptoutil.Sum(cryptoutil.SHA256, data).Equal(h.DataSHA256) {
+		return mismatch()
+	}
+	if _, err := b.store.Put(h.ObjectKey, data, h.DataMD5); errors.Is(err, storage.ErrChecksum) {
+		return mismatch()
+	} else if err != nil {
 		return b.errorReply(h, "storage error: "+err.Error())
 	}
 	faultpoint.Hit(fpProviderUploadBeforeJournal)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -116,11 +117,18 @@ func TestLateMessageOnExpiredSession(t *testing.T) {
 // Shutdown (leakcheck).
 func TestServerExpiryReaper(t *testing.T) {
 	leakcheck.At(t)
-	var d *deploy.Deployment
-	d = newDeadlineDeploy(t, 30*time.Millisecond,
+	// The reaper starts ticking inside newDeadlineDeploy, before there is
+	// a deployment to reap: it finds the provider through an atomic
+	// pointer and has nothing to do until that is set.
+	var provider atomic.Pointer[core.Provider]
+	d := newDeadlineDeploy(t, 30*time.Millisecond,
 		core.ServerExpiry(clock.Real(), 10*time.Millisecond, func(now time.Time) int {
-			return d.Provider.ExpireStale(now)
+			if p := provider.Load(); p != nil {
+				return p.ExpireStale(now)
+			}
+			return 0
 		}))
+	provider.Store(d.Provider)
 	conn := mustDial(t, d)
 
 	d.Provider.SetMisbehavior(core.Misbehavior{SilentAfterNRO: true})

@@ -318,9 +318,10 @@ func (s *Server) overloaded() bool {
 // shed refuses one message under overload: the buffer goes straight
 // back to the pool and the client gets an unsigned control frame
 // telling it to back off and retry. Deliberately unsigned — shedding
-// exists to protect the server from work, and two RSA signatures per
-// refusal would make the refusal as expensive as the service (see the
-// cost note on errorReply). The frame is a retry hint, not evidence.
+// exists to protect the server from work, and a signed reply costs a
+// private-key signature and a seal per refusal (see the cost note on
+// errorReply), a sixth of a whole upload's private-key work. The frame
+// is a retry hint, not evidence.
 func (s *Server) shed(conn transport.Conn, raw []byte) {
 	transport.Recycle(raw)
 	s.met.shed.Inc()

@@ -219,11 +219,10 @@ func (b *Provider) handleSettle(h *evidence.Header, ev *evidence.Evidence, paylo
 	if err := b.putEvidence(h.TxnID, evidence.RolePeer, ev); err != nil {
 		return nil, err
 	}
-	r, _, err := evidence.BuildAggregateReceipt(b.id.Key.Signer(), h.TxnID, b.id.Name, txns, leaves, b.clk.Now())
+	r, _, err := evidence.BuildAggregateReceipt(b.signer, h.TxnID, b.id.Name, txns, leaves, b.clk.Now())
 	if err != nil {
 		return b.errorReply(h, "cannot build aggregate receipt: "+err.Error())
 	}
-	b.ctr.Inc(metrics.SignOps, 1)
 	enc := r.Encode()
 
 	senderKey, err := b.peerKey(h.SenderID)

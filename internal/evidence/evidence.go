@@ -19,6 +19,7 @@ import (
 	"crypto/rsa"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cryptoutil"
@@ -228,22 +229,48 @@ type Evidence struct {
 	HeaderSig []byte
 }
 
-// BuildFor constructs evidence for header under the sender's signer
-// and seals it for the recipient's public key, whatever scheme either
-// uses. Returns the evidence (the sender's own copy) and the sealed
-// ciphertext to transmit.
+// emptyDigest is what Sign(HashOfData) covers when a message carries no
+// object data: the tagged digest pair of the empty string. Never
+// written after package initialisation.
+var emptyDigest = func() []byte {
+	var h Header
+	h.SetDigests(nil)
+	return h.digestBytes()
+}()
+
+// Builder constructs evidence under one sender's signer. It memoizes
+// Sign(emptyDigest): resolve, abort, audit, error and request messages
+// all carry that same digest pair, so under one key the signature over
+// it is a constant every peer has already seen. Freshness never came
+// from it — the nonce, sequence number and timestamp sit under the
+// header signature, which is computed for every message. Safe for
+// concurrent use.
+type Builder struct {
+	signer cryptoutil.Signer
+	// emptySig is nil until a signing attempt succeeds; the slice it
+	// points to is never modified.
+	emptySig atomic.Pointer[[]byte]
+}
+
+// NewBuilder returns a builder signing as sender. The memo has no
+// invalidation, so a builder must not outlive its signer's key.
+func NewBuilder(sender cryptoutil.Signer) *Builder { return &Builder{signer: sender} }
+
+// Build constructs evidence for header and seals it for the recipient's
+// public key, whatever scheme either uses. Returns the evidence (the
+// sender's own copy) and the sealed ciphertext to transmit.
 //
 // The header must already carry the data digests (SetDigests).
-func BuildFor(sender cryptoutil.Signer, recipient cryptoutil.PublicKey, h *Header) (*Evidence, []byte, error) {
-	if sender == nil {
+func (b *Builder) Build(recipient cryptoutil.PublicKey, h *Header) (*Evidence, []byte, error) {
+	if b.signer == nil {
 		return nil, nil, fmt.Errorf("evidence: nil sender signer")
 	}
-	dataSig, err := sender.Sign(h.digestBytes())
+	dataSig, err := b.signDataHash(h.digestBytes())
 	if err != nil {
 		return nil, nil, fmt.Errorf("evidence: signing data hash: %w", err)
 	}
 	headerBytes := h.Encode()
-	headerSig, err := sender.Sign(headerBytes)
+	headerSig, err := b.signer.Sign(headerBytes)
 	if err != nil {
 		return nil, nil, fmt.Errorf("evidence: signing header: %w", err)
 	}
@@ -259,6 +286,33 @@ func BuildFor(sender cryptoutil.Signer, recipient cryptoutil.PublicKey, h *Heade
 		return nil, nil, fmt.Errorf("evidence: sealing: %w", err)
 	}
 	return ev, sealed, nil
+}
+
+// signDataHash is the one place Sign(HashOfData) is computed. The memo
+// is taken only when the bytes to be signed equal emptyDigest — not
+// when ObjectLen, the payload or the message kind suggest they might —
+// and each caller gets its own copy. Goroutines racing to fill it each
+// sign once; both registered schemes are deterministic, so they store
+// the same bytes.
+func (b *Builder) signDataHash(digest []byte) ([]byte, error) {
+	if !bytes.Equal(digest, emptyDigest) {
+		return b.signer.Sign(digest)
+	}
+	sig := b.emptySig.Load()
+	if sig == nil {
+		fresh, err := b.signer.Sign(digest)
+		if err != nil {
+			return nil, err // not memoized: the next message tries again
+		}
+		sig = &fresh
+		b.emptySig.CompareAndSwap(nil, sig)
+	}
+	return bytes.Clone(*sig), nil
+}
+
+// BuildFor is Build without a memo: a builder made for one message.
+func BuildFor(sender cryptoutil.Signer, recipient cryptoutil.PublicKey, h *Header) (*Evidence, []byte, error) {
+	return NewBuilder(sender).Build(recipient, h)
 }
 
 // Build is BuildFor restricted to RSA recipients.

@@ -76,11 +76,14 @@ func (d *Disk) Put(key string, data []byte, wantMD5 cryptoutil.Digest) (Object, 
 	if old, err := d.readMetaLocked(key); err == nil {
 		version = old.Version + 1
 	}
-	obj := Object{Key: key, Data: append([]byte(nil), data...), StoredMD5: actual, Version: version, StoredAt: d.now()}
+	// The store's state is the files: Data is the caller's slice, written
+	// out before Put returns and not kept, so neither the write nor the
+	// returned Object needs a copy of it.
+	obj := Object{Key: key, Data: data, StoredMD5: actual, Version: version, StoredAt: d.now()}
 	if err := d.writeLocked(obj); err != nil {
 		return Object{}, err
 	}
-	return obj.Clone(), nil
+	return obj, nil
 }
 
 // writeLocked persists blob and metadata via write-to-temp + rename so

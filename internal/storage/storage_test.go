@@ -257,6 +257,31 @@ func TestGetReturnsCopy(t *testing.T) {
 	}
 }
 
+// TestPutKeepsNoCallerMemory: what Get reads back is what Put was given,
+// whatever the caller does afterwards to its own slice or to the Object
+// Put returned. Mem must copy to promise that; Disk has written the
+// bytes out by the time Put returns and copies nothing.
+func TestPutKeepsNoCallerMemory(t *testing.T) {
+	for name, s := range stores(t) {
+		t.Run(name, func(t *testing.T) {
+			data := []byte("immutable")
+			put, err := s.Put("k", data, cryptoutil.Digest{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[0] = 'X'
+			put.Data[1] = 'Y'
+			got, err := s.Get("k")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got.Data) != "immutable" {
+				t.Fatalf("Get read back %q after the caller changed its slice", got.Data)
+			}
+		})
+	}
+}
+
 func TestDiskSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
 	d1, err := NewDisk(dir, nil)
