@@ -22,7 +22,7 @@ TPNR_SHARDS ?=
 # Default 1 keeps journals unreplicated; chaos-replicated pins 3.
 TPNR_REPLICAS ?=
 
-.PHONY: build vet test race race-core bench bench-smoke bench-e17 bench-json bench-check chaos chaos-short chaos-sharded chaos-replicated obs-smoke shim-guard verify
+.PHONY: build vet test race race-core bench bench-smoke bench-e17 bench-json bench-check chaos chaos-short chaos-sharded chaos-replicated obs-smoke verify
 
 build:
 	$(GO) build ./...
@@ -118,27 +118,6 @@ chaos-sharded:
 # acked receipt recoverable from the surviving quorum.
 chaos-replicated:
 	$(MAKE) chaos TPNR_SHARDS=4 TPNR_REPLICAS=3
-
-# shim-guard fails when NON-TEST code outside the legacy shim layer
-# calls one of the Deprecated: RSA-only helpers. All in-tree callers
-# have been migrated to scheme handles (Signer/PublicKey); the shims
-# remain only so external users of older revisions keep compiling, and
-# the files listed in the exclusion are the shim definitions (plus
-# their internal delegation). Tests may exercise the shims — they pin
-# the legacy behaviour.
-shim-guard:
-	@matches=$$(grep -rn --include='*.go' -E \
-		'cryptoutil\.(Sign|Verify|Encrypt|Decrypt|MarshalPublicKey|ParsePublicKey|PublicKeyFingerprint)\(|\.CAKey\(\)|core\.WithCAKey\(|auditlog\.VerifyCheckpoint\(' \
-		internal cmd \
-		| grep -v '_test.go' \
-		| grep -vE '^internal/(cryptoutil|evidence)/|^internal/pki/pki\.go|^internal/keystore/keystore\.go|^internal/auditlog/auditlog\.go|^internal/arbitrator/arbitrator\.go' \
-		|| true); \
-	if [ -n "$$matches" ]; then \
-		echo "$$matches"; \
-		echo "shim-guard: new non-test caller(s) of deprecated RSA shims — use scheme handles (KeyPair.Signer / cryptoutil.PublicKey) instead"; \
-		exit 1; \
-	fi; \
-	echo "shim-guard: OK"
 
 # obs-smoke boots a transient nrserver with the observability endpoint
 # and curls /healthz and /metrics — the cheapest end-to-end proof that

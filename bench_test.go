@@ -145,11 +145,7 @@ func BenchmarkE4SDCSignedRequest(b *testing.B) {
 	src.Put("r/doc", make([]byte, 4096), cryptoutil.Digest{})
 	tunnel := gaesim.NewTunnelServer()
 	key := cryptoutil.InsecureTestKey(110)
-	der, err := cryptoutil.MarshalPublicKey(key.Public())
-	if err != nil {
-		b.Fatal(err)
-	}
-	tunnel.RegisterConsumer("c", der)
+	tunnel.RegisterConsumer("c", key.Signer().Public().Marshal())
 	token, err := tunnel.IssueToken()
 	if err != nil {
 		b.Fatal(err)
@@ -398,13 +394,13 @@ func BenchmarkE9EvidenceOpenVerify(b *testing.B) {
 	bob := cryptoutil.InsecureTestKey(120)
 	h := &evidence.Header{Kind: evidence.KindNRO, TxnID: "t", SenderID: "alice", RecipientID: "bob"}
 	h.SetDigests(make([]byte, 4096))
-	_, sealed, err := evidence.Build(alice, bob.Public(), h)
+	_, sealed, err := evidence.BuildFor(alice.Signer(), bob.Signer().Public(), h)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := evidence.Open(bob, alice.Public(), sealed, h); err != nil {
+		if _, err := evidence.OpenWith(bob.Signer(), alice.Signer().Public(), sealed, h); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -455,7 +451,7 @@ func BenchmarkE10EvidenceBuild(b *testing.B) {
 	h.SetDigests(make([]byte, 4096))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := evidence.Build(alice, bob.Public(), h); err != nil {
+		if _, _, err := evidence.BuildFor(alice.Signer(), bob.Signer().Public(), h); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -592,16 +588,16 @@ func BenchmarkXBigObjectUpload(b *testing.B) {
 // only). Compare with BenchmarkE10EvidenceBuild to see what
 // "encrypted with the recipient's public key" (§4.1) costs.
 func BenchmarkE10EvidenceSignOnly(b *testing.B) {
-	alice := cryptoutil.InsecureTestKey(121)
+	alice := cryptoutil.InsecureTestKey(121).Signer()
 	h := &evidence.Header{Kind: evidence.KindNRO, TxnID: "t", SenderID: "alice", RecipientID: "bob"}
 	h.SetDigests(make([]byte, 4096))
 	hdr := h.Encode()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := cryptoutil.Sign(alice, hdr); err != nil {
+		if _, err := alice.Sign(hdr); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := cryptoutil.Sign(alice, hdr[:64]); err != nil {
+		if _, err := alice.Sign(hdr[:64]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -734,7 +730,7 @@ func BenchmarkE10ConcurrentDownload(b *testing.B) {
 
 // --- E11: hot-path throughput (PR 3) -----------------------------------------
 //
-// The four families below back EXPERIMENTS.md E11 and BENCH_PR3.json:
+// The four families below back EXPERIMENTS.md E11:
 // WAL group commit vs per-append fsync, multi-algorithm hashing,
 // Merkle tree construction after the streamed leaf hash, and the
 // evidence verification cache. cmd/benchreport runs them and computes
@@ -893,13 +889,7 @@ func e12Keys(b *testing.B, scheme cryptoutil.Scheme, slot int) cryptoutil.KeyPai
 	if k, ok := e12KeyMemo[id]; ok {
 		return k
 	}
-	var k cryptoutil.KeyPair
-	var err error
-	if scheme == cryptoutil.SchemeRSA {
-		k, err = cryptoutil.GenerateKeyBits(cryptoutil.DefaultRSABits)
-	} else {
-		k, err = cryptoutil.GenerateKeyPair(scheme)
-	}
+	k, err := cryptoutil.GenerateKeyPair(scheme, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

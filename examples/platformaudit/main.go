@@ -79,15 +79,11 @@ func gae() {
 	src := storage.NewMem(nil)
 	src.Put("records/patient-7", original, cryptoutil.Digest{})
 	tunnel := gaesim.NewTunnelServer()
-	key, err := cryptoutil.GenerateKeyBits(1024)
+	key, err := cryptoutil.GenerateKeyPair(cryptoutil.SchemeRSA, 1024)
 	if err != nil {
 		log.Fatal(err)
 	}
-	der, err := cryptoutil.MarshalPublicKey(key.Public())
-	if err != nil {
-		log.Fatal(err)
-	}
-	tunnel.RegisterConsumer("clinic-apps", der)
+	tunnel.RegisterConsumer("clinic-apps", key.Signer().Public().Marshal())
 	token, err := tunnel.IssueToken()
 	if err != nil {
 		log.Fatal(err)

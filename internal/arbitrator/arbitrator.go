@@ -16,7 +16,6 @@ package arbitrator
 
 import (
 	"bytes"
-	"crypto/rsa"
 	"fmt"
 	"time"
 
@@ -165,13 +164,6 @@ func NewWithKey(caKey cryptoutil.PublicKey, dir func(string) (*pki.Certificate, 
 		now = time.Now
 	}
 	return &Arbitrator{caKey: caKey, dir: dir, now: now, vcache: evidence.NewVerifyCache(256)}
-}
-
-// New constructs an arbitrator from a raw RSA CA key.
-//
-// Deprecated: use NewWithKey, which accepts any signature scheme.
-func New(caKey *rsa.PublicKey, dir func(string) (*pki.Certificate, error), now func() time.Time) *Arbitrator {
-	return NewWithKey(cryptoutil.NewRSAPublicKey(caKey), dir, now)
 }
 
 // partyKey resolves and validates a party's public key. The

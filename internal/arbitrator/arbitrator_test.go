@@ -43,7 +43,7 @@ func newFixture(t *testing.T) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arb := arbitrator.New(d.CA.PublicKey(), d.CA.Lookup, nil)
+	arb := arbitrator.NewWithKey(d.CA.Key(), d.CA.Lookup, nil)
 	return &fixture{d: d, arb: arb, conn: conn, up: up, data: data}
 }
 
@@ -190,7 +190,7 @@ func TestAbortedTransaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arb := arbitrator.New(d.CA.PublicKey(), d.CA.Lookup, nil)
+	arb := arbitrator.NewWithKey(d.CA.Key(), d.CA.Lookup, nil)
 	dec := arb.Decide(&arbitrator.Case{
 		TxnID:        "txn-ab",
 		ClaimantID:   deploy.ClientName,
@@ -232,7 +232,7 @@ func TestProviderUnresponsiveWithTTPStatement(t *testing.T) {
 	}
 
 	nro, _ := d.Client.PendingNRO("txn-ttp")
-	arb := arbitrator.New(d.CA.PublicKey(), d.CA.Lookup, nil)
+	arb := arbitrator.NewWithKey(d.CA.Key(), d.CA.Lookup, nil)
 	dec := arb.Decide(&arbitrator.Case{
 		TxnID:        "txn-ttp",
 		ClaimantID:   deploy.ClientName,
@@ -293,7 +293,7 @@ func TestDisputeAfterCertificateExpiry(t *testing.T) {
 	// window... the fixture deployment issues 10-year certs, so model
 	// expiry by moving the arbitrator's clock far past NotAfter.
 	farFuture := time.Now().Add(20 * 365 * 24 * time.Hour)
-	lateArb := arbitrator.New(fx.d.CA.PublicKey(), fx.d.CA.Lookup, func() time.Time { return farFuture })
+	lateArb := arbitrator.NewWithKey(fx.d.CA.Key(), fx.d.CA.Lookup, func() time.Time { return farFuture })
 	c := fx.baseCase()
 	c.ProducedData = fx.produced(t)
 	dec := lateArb.Decide(c)

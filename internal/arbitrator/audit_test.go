@@ -18,7 +18,7 @@ import (
 // challenge's journaled response deadline, the realistic timeline for
 // a storage-dwell dispute.
 func lateArb(fx *fixture) *arbitrator.Arbitrator {
-	return arbitrator.New(fx.d.CA.PublicKey(), fx.d.CA.Lookup,
+	return arbitrator.NewWithKey(fx.d.CA.Key(), fx.d.CA.Lookup,
 		func() time.Time { return time.Now().Add(24 * time.Hour) })
 }
 

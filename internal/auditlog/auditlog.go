@@ -9,7 +9,6 @@
 package auditlog
 
 import (
-	"crypto/rsa"
 	"errors"
 	"fmt"
 	"os"
@@ -202,14 +201,6 @@ func (l *Log) Checkpoint(key cryptoutil.KeyPair) (*Checkpoint, error) {
 		return nil, fmt.Errorf("auditlog: signing checkpoint: %w", err)
 	}
 	return &Checkpoint{At: at, Length: length, HeadHash: head, Signature: sig}, nil
-}
-
-// VerifyCheckpoint checks a checkpoint under a raw RSA key.
-//
-// Deprecated: use VerifyCheckpointWith, which accepts any signature
-// scheme.
-func VerifyCheckpoint(pub *rsa.PublicKey, cp *Checkpoint, entries []Entry) error {
-	return VerifyCheckpointWith(cryptoutil.NewRSAPublicKey(pub), cp, entries)
 }
 
 // VerifyCheckpointWith checks a checkpoint's signature under the

@@ -110,66 +110,80 @@ func TestEntryAccess(t *testing.T) {
 	}
 }
 
+// eachScheme runs f once per registered scheme, as a subtest named
+// after it, with a checkpoint key of that scheme and an unrelated one.
+func eachScheme(t *testing.T, f func(t *testing.T, key, other cryptoutil.KeyPair)) {
+	t.Helper()
+	for _, s := range []cryptoutil.Scheme{cryptoutil.SchemeRSA, cryptoutil.SchemeEd25519} {
+		t.Run(s.String(), func(t *testing.T) {
+			f(t, cryptoutil.InsecureTestKeyScheme(130, s), cryptoutil.InsecureTestKeyScheme(131, s))
+		})
+	}
+}
+
 func TestCheckpointRoundTrip(t *testing.T) {
-	key := cryptoutil.InsecureTestKey(130)
-	l := New(nil)
-	for i := 0; i < 6; i++ {
-		l.Append("upload", "t", "x")
-	}
-	cp, err := l.Checkpoint(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyCheckpoint(key.Public(), cp, l.Entries()); err != nil {
-		t.Fatalf("honest checkpoint: %v", err)
-	}
-	// Appending after the checkpoint stays valid.
-	l.Append("download", "t", "later")
-	if err := VerifyCheckpoint(key.Public(), cp, l.Entries()); err != nil {
-		t.Fatalf("append after checkpoint: %v", err)
-	}
+	eachScheme(t, func(t *testing.T, key, _ cryptoutil.KeyPair) {
+		l := New(nil)
+		for i := 0; i < 6; i++ {
+			l.Append("upload", "t", "x")
+		}
+		cp, err := l.Checkpoint(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := VerifyCheckpointWith(key.Signer().Public(), cp, l.Entries()); err != nil {
+			t.Fatalf("honest checkpoint: %v", err)
+		}
+		// Appending after the checkpoint stays valid.
+		l.Append("download", "t", "later")
+		if err := VerifyCheckpointWith(key.Signer().Public(), cp, l.Entries()); err != nil {
+			t.Fatalf("append after checkpoint: %v", err)
+		}
+	})
 }
 
 func TestCheckpointDetectsTruncation(t *testing.T) {
-	key := cryptoutil.InsecureTestKey(130)
-	l := New(nil)
-	for i := 0; i < 6; i++ {
-		l.Append("upload", "t", fmt.Sprintf("v%d", i))
-	}
-	cp, err := l.Checkpoint(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trunc := l.Entries()[:4]
-	if err := VerifyCheckpoint(key.Public(), cp, trunc); !errors.Is(err, ErrBrokenChain) {
-		t.Fatalf("truncation: %v", err)
-	}
+	eachScheme(t, func(t *testing.T, key, _ cryptoutil.KeyPair) {
+		l := New(nil)
+		for i := 0; i < 6; i++ {
+			l.Append("upload", "t", fmt.Sprintf("v%d", i))
+		}
+		cp, err := l.Checkpoint(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trunc := l.Entries()[:4]
+		if err := VerifyCheckpointWith(key.Signer().Public(), cp, trunc); !errors.Is(err, ErrBrokenChain) {
+			t.Fatalf("truncation: %v", err)
+		}
+	})
 }
 
 func TestCheckpointForgedSignature(t *testing.T) {
-	key := cryptoutil.InsecureTestKey(130)
-	other := cryptoutil.InsecureTestKey(131)
-	l := New(nil)
-	l.Append("upload", "t", "x")
-	cp, err := l.Checkpoint(other) // signed by the wrong key
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyCheckpoint(key.Public(), cp, l.Entries()); !errors.Is(err, ErrBadCheckpoint) {
-		t.Fatalf("forged checkpoint: %v", err)
-	}
+	eachScheme(t, func(t *testing.T, key, other cryptoutil.KeyPair) {
+		l := New(nil)
+		l.Append("upload", "t", "x")
+		cp, err := l.Checkpoint(other) // signed by the wrong key
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := VerifyCheckpointWith(key.Signer().Public(), cp, l.Entries()); !errors.Is(err, ErrBadCheckpoint) {
+			t.Fatalf("forged checkpoint: %v", err)
+		}
+	})
 }
 
 func TestCheckpointEmptyLog(t *testing.T) {
-	key := cryptoutil.InsecureTestKey(130)
-	l := New(nil)
-	cp, err := l.Checkpoint(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyCheckpoint(key.Public(), cp, nil); err != nil {
-		t.Fatalf("empty-log checkpoint: %v", err)
-	}
+	eachScheme(t, func(t *testing.T, key, _ cryptoutil.KeyPair) {
+		l := New(nil)
+		cp, err := l.Checkpoint(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := VerifyCheckpointWith(key.Signer().Public(), cp, nil); err != nil {
+			t.Fatalf("empty-log checkpoint: %v", err)
+		}
+	})
 }
 
 func TestConcurrentAppend(t *testing.T) {

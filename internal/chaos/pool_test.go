@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,23 +14,37 @@ import (
 	"repro/internal/transport"
 )
 
-// severConn delivers its first Send, then engages the shared partition
-// and closes itself: a link that dies mid-transaction, right after the
-// client's commitment left but before the provider's receipt can come
-// back.
+// severConn is a link that dies mid-transaction: its first Send still
+// reaches the peer, but before that frame is handed to the wire the
+// shared partition is engaged and the receive side is cut, so the
+// client's commitment arrives and the provider's receipt can never be
+// read on this link, whichever side the scheduler runs first.
 type severConn struct {
 	transport.Conn
-	part *transport.Partition
-	once sync.Once
+	part    *transport.Partition
+	severed atomic.Bool
 }
 
 func (c *severConn) Send(b []byte) error {
+	if !c.severed.CompareAndSwap(false, true) {
+		return transport.ErrClosed
+	}
+	c.part.Engage()
 	err := c.Conn.Send(b)
-	c.once.Do(func() {
-		c.part.Engage()
-		c.Conn.Close()
-	})
+	c.Conn.Close()
 	return err
+}
+
+// Recv drops whatever the link delivers once it is severed: a reader
+// already blocked in the underlying Recv when the link died, and the
+// pipe's habit of draining buffered frames after Close, would both
+// hand the receipt over otherwise.
+func (c *severConn) Recv() ([]byte, error) {
+	msg, err := c.Conn.Recv()
+	if c.severed.Load() {
+		return nil, transport.ErrClosed
+	}
+	return msg, err
 }
 
 // TestPoolPartitionEscalatesToTTP: the network partitions mid-upload —

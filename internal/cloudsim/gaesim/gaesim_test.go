@@ -20,11 +20,7 @@ func newDeployment(t *testing.T) (*Deployment, cryptoutil.KeyPair, string) {
 	}
 	tunnel := NewTunnelServer()
 	key := cryptoutil.InsecureTestKey(20)
-	der, err := cryptoutil.MarshalPublicKey(key.Public())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tunnel.RegisterConsumer("consumer-1", der)
+	tunnel.RegisterConsumer("consumer-1", key.Signer().Public().Marshal())
 	token, err := tunnel.IssueToken()
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +78,7 @@ func TestUnknownConsumerRejected(t *testing.T) {
 	r := request(t, key, token, "alice", "crm/customers.csv")
 	r.ConsumerKey = "consumer-unregistered"
 	// Re-sign so only the consumer key is the problem.
-	sig, _ := cryptoutil.Sign(key, r.CanonicalBytes())
+	sig, _ := key.Signer().Sign(r.CanonicalBytes())
 	r.Signature = sig
 	if _, _, err := d.Request(r); !errors.Is(err, ErrUnknownConsumer) {
 		t.Fatalf("err = %v, want ErrUnknownConsumer", err)

@@ -14,11 +14,7 @@ func establishPair(t *testing.T) (*SecureChannel, *SecureChannel, *transport.Tap
 	t.Helper()
 	tunnel := NewTunnelServer()
 	key := cryptoutil.InsecureTestKey(140)
-	der, err := cryptoutil.MarshalPublicKey(key.Public())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tunnel.RegisterConsumer("sdc-1", der)
+	tunnel.RegisterConsumer("sdc-1", key.Signer().Public().Marshal())
 
 	// Wire the two ends through a tap so tests can observe/modify the
 	// ciphertext like a network attacker.
@@ -75,8 +71,7 @@ func TestTunnelConfidentiality(t *testing.T) {
 func TestTunnelTamperRejected(t *testing.T) {
 	tunnel := NewTunnelServer()
 	key := cryptoutil.InsecureTestKey(140)
-	der, _ := cryptoutil.MarshalPublicKey(key.Public())
-	tunnel.RegisterConsumer("sdc-1", der)
+	tunnel.RegisterConsumer("sdc-1", key.Signer().Public().Marshal())
 
 	a, b := transport.Pipe(0)
 	defer a.Close()
@@ -118,8 +113,7 @@ func TestTunnelHandshakeFailures(t *testing.T) {
 	// Wrapped key addressed to someone else cannot be accepted.
 	key := cryptoutil.InsecureTestKey(140)
 	other := cryptoutil.InsecureTestKey(141)
-	der, _ := cryptoutil.MarshalPublicKey(key.Public())
-	tunnel.RegisterConsumer("sdc-1", der)
+	tunnel.RegisterConsumer("sdc-1", key.Signer().Public().Marshal())
 	_, wrapped, err := tunnel.EstablishTunnel("sdc-1", a)
 	if err != nil {
 		t.Fatal(err)
@@ -139,8 +133,7 @@ func TestSignedRequestOverTunnel(t *testing.T) {
 	src.Put("crm/x", []byte("row-1"), cryptoutil.Digest{})
 	tunnel := NewTunnelServer()
 	key := cryptoutil.InsecureTestKey(142)
-	der, _ := cryptoutil.MarshalPublicKey(key.Public())
-	tunnel.RegisterConsumer("c", der)
+	tunnel.RegisterConsumer("c", key.Signer().Public().Marshal())
 	token, err := tunnel.IssueToken()
 	if err != nil {
 		t.Fatal(err)

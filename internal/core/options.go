@@ -1,7 +1,6 @@
 package core
 
 import (
-	"crypto/rsa"
 	"time"
 
 	"repro/internal/archive"
@@ -24,18 +23,8 @@ func WithIdentity(id *pki.Identity) Option {
 	return func(o *Options) { o.Identity = id }
 }
 
-// WithCAKey sets the CA public key used to verify directory
-// certificates.
-//
-// Deprecated: use WithCAPublicKey, which accepts any scheme's key
-// handle. One of the two is required.
-func WithCAKey(k *rsa.PublicKey) Option {
-	return func(o *Options) { o.CAKey = k }
-}
-
 // WithCAPublicKey sets the CA key handle used to verify directory
-// certificates. Either this or WithCAKey is required; this form wins
-// when both are set.
+// certificates (required).
 func WithCAPublicKey(k cryptoutil.PublicKey) Option {
 	return func(o *Options) { o.caPub = k }
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"crypto/rsa"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -96,11 +95,6 @@ type Directory func(name string) (*pki.Certificate, error)
 type Options struct {
 	// Identity is this party's name, key pair and certificate.
 	Identity *pki.Identity
-	// CAKey verifies certificates from the directory.
-	//
-	// Deprecated: use WithCAPublicKey, which accepts any scheme's key.
-	// Setting either field satisfies the constructor.
-	CAKey *rsa.PublicKey
 	// Directory resolves peer certificates.
 	Directory Directory
 	// Clock drives timestamps and timeouts; nil means the real clock.
@@ -130,8 +124,8 @@ type Options struct {
 	// deadline is set by WithDeadlinePolicy; only the provider enforces
 	// it (step deadlines + expiry reaper).
 	deadline DeadlinePolicy
-	// caPub is set by WithCAPublicKey: the scheme-agnostic CA key
-	// handle. Takes precedence over the legacy CAKey field.
+	// caPub is set by WithCAPublicKey: the CA key handle that verifies
+	// certificates from the directory.
 	caPub cryptoutil.PublicKey
 	// repl is set by WithReplicator: the quorum replication group every
 	// journal append must clear before the transition is acked.
@@ -222,12 +216,8 @@ func newParty(o Options) (*party, error) {
 	if o.Identity == nil {
 		return nil, fmt.Errorf("core: Options.Identity is required")
 	}
-	caKey := o.caPub
-	if caKey == nil && o.CAKey != nil {
-		caKey = cryptoutil.NewRSAPublicKey(o.CAKey)
-	}
-	if caKey == nil {
-		return nil, fmt.Errorf("core: a CA key is required (WithCAPublicKey or Options.CAKey)")
+	if o.caPub == nil {
+		return nil, fmt.Errorf("core: a CA key is required (WithCAPublicKey)")
 	}
 	if o.Directory == nil {
 		return nil, fmt.Errorf("core: Options.Directory is required")
@@ -238,7 +228,7 @@ func newParty(o Options) (*party, error) {
 	}
 	p := &party{
 		id:       o.Identity,
-		caKey:    caKey,
+		caKey:    o.caPub,
 		dir:      o.Directory,
 		clk:      o.Clock,
 		ctr:      o.Counters,

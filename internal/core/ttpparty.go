@@ -2,8 +2,6 @@ package core
 
 import (
 	"context"
-	"crypto/rsa"
-	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -91,20 +89,6 @@ func (t *TTPParty) PeerPublicKey(name string) (cryptoutil.PublicKey, error) {
 	return t.p.peerKey(name)
 }
 
-// PeerKey resolves and authenticates a party's public key.
-//
-// Deprecated: use PeerPublicKey — this fails for non-RSA peers.
-func (t *TTPParty) PeerKey(name string) (*rsa.PublicKey, error) {
-	key, err := t.p.peerKey(name)
-	if err != nil {
-		return nil, err
-	}
-	if pub, ok := cryptoutil.RSAPublicKeyOf(key); ok {
-		return pub, nil
-	}
-	return nil, fmt.Errorf("%w: %q uses %s, not RSA", ErrUnknownIdentity, name, key.Scheme())
-}
-
 // NewHeader assembles an outbound header with the TTP as sender.
 func (t *TTPParty) NewHeader(kind evidence.Kind, txn, recipient, ttp string, seq uint64) *evidence.Header {
 	return t.p.newHeader(kind, txn, recipient, ttp, seq)
@@ -121,13 +105,6 @@ func (t *TTPParty) BumpSeqTo(txn string, seen uint64) uint64 { return t.p.bumpSe
 // a recipient key handle.
 func (t *TTPParty) BuildMessageFor(h *evidence.Header, payload []byte, recipientKey cryptoutil.PublicKey) (*Message, *evidence.Evidence, error) {
 	return t.p.buildMessage(h, payload, recipientKey)
-}
-
-// BuildMessage signs and seals evidence for a header.
-//
-// Deprecated: use BuildMessageFor with a scheme handle.
-func (t *TTPParty) BuildMessage(h *evidence.Header, payload []byte, recipientKey *rsa.PublicKey) (*Message, *evidence.Evidence, error) {
-	return t.p.buildMessage(h, payload, cryptoutil.NewRSAPublicKey(recipientKey))
 }
 
 // CheckInbound runs the generic inbound validation sequence.

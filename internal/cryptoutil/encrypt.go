@@ -4,7 +4,6 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/rand"
-	"crypto/rsa"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -95,27 +94,6 @@ func openWithSession(session, rest []byte) ([]byte, error) {
 	pt := make([]byte, len(ct))
 	cipher.NewCTR(block, iv).XORKeyStream(pt, ct)
 	return pt, nil
-}
-
-// Encrypt encrypts plaintext for the holder of pub.
-//
-// Deprecated: use PublicKey.Seal on a scheme handle
-// (NewRSAPublicKey(pub).Seal(plaintext) for a raw RSA key).
-func Encrypt(pub *rsa.PublicKey, plaintext []byte) ([]byte, error) {
-	return NewRSAPublicKey(pub).Seal(plaintext)
-}
-
-// Decrypt reverses Encrypt using the recipient's key pair. It fails if
-// the ciphertext was not produced for this key or has been modified.
-//
-// Deprecated: use Signer.Unseal (KeyPair.Signer().Unseal for a legacy
-// key pair).
-func Decrypt(key KeyPair, ciphertext []byte) ([]byte, error) {
-	s := key.Signer()
-	if s == nil {
-		return nil, fmt.Errorf("cryptoutil: key pair holds no private key")
-	}
-	return s.Unseal(ciphertext)
 }
 
 // macKey derives the authentication key from the session key so the

@@ -2,148 +2,45 @@ package cryptoutil
 
 import (
 	"crypto/rand"
-	"crypto/rsa"
-	"crypto/x509"
 	"fmt"
 	"io"
 )
 
-// DefaultRSABits is the key size used for party identities. 2048 is the
-// contemporary recommendation; tests use smaller keys via GenerateKeyBits
-// to stay fast.
+// DefaultRSABits is the key size used for RSA party identities. 2048
+// is the contemporary recommendation; tests use smaller keys via
+// GenerateKeyPair to stay fast.
 const DefaultRSABits = 2048
 
-// KeyPair carries a party's private key together with its public half.
-// Identities in this repository (Alice, Bob, the TTP, the CA) are each
-// bound to one KeyPair through the pki package.
-//
-// Historically a KeyPair was always RSA and exposed the raw
-// *rsa.PrivateKey; it now bridges to the scheme-agnostic Signer world:
-// a KeyPair can carry ANY registered scheme (build one with
-// SignerKeyPair), and Signer() returns the scheme handle all new code
-// signs and unseals through. The Private field remains for RSA pairs —
-// it is nil for other schemes.
+// KeyPair carries a party's private key together with its public half,
+// as one scheme handle. Identities in this repository (Alice, Bob, the
+// TTP, the CA) are each bound to one KeyPair through the pki package.
+// The zero KeyPair holds no key.
 type KeyPair struct {
-	// Private is the raw RSA private key for SchemeRSA pairs, nil
-	// otherwise.
-	//
-	// Deprecated: use Signer() — it works for every scheme.
-	Private *rsa.PrivateKey
-
-	// signer is the scheme handle for non-RSA pairs (and a cache for
-	// RSA pairs built through SignerKeyPair).
 	signer Signer
 }
 
-// SignerKeyPair wraps a scheme-agnostic Signer in a KeyPair so it can
-// flow through APIs that still traffic in KeyPair (pki.Identity,
-// keystore, the legacy constructors). For RSA signers the Private
-// field is populated, so legacy code reading it keeps working.
-func SignerKeyPair(s Signer) KeyPair {
-	if rs, ok := s.(*rsaSigner); ok {
-		return KeyPair{Private: rs.priv, signer: s}
-	}
-	return KeyPair{signer: s}
-}
+// SignerKeyPair wraps a Signer in a KeyPair.
+func SignerKeyPair(s Signer) KeyPair { return KeyPair{signer: s} }
 
-// Signer returns the scheme handle for this pair: the cached one for
-// pairs built via SignerKeyPair, or a fresh RSA handle for legacy
-// pairs built from a raw Private key. Returns nil for a zero KeyPair.
-func (k KeyPair) Signer() Signer {
-	if k.signer != nil {
-		return k.signer
-	}
-	if k.Private != nil {
-		return newRSASigner(k.Private)
-	}
-	return nil
-}
+// Signer returns the pair's scheme handle — the same instance on every
+// call — or nil for a zero KeyPair.
+func (k KeyPair) Signer() Signer { return k.signer }
 
-// Scheme reports the pair's scheme (SchemeRSA for legacy pairs); zero
-// for an empty pair.
+// Scheme reports the pair's scheme; zero for an empty pair.
 func (k KeyPair) Scheme() Scheme {
-	if k.signer != nil {
-		return k.signer.Scheme()
+	if k.signer == nil {
+		return 0
 	}
-	if k.Private != nil {
-		return SchemeRSA
-	}
-	return 0
+	return k.signer.Scheme()
 }
 
-// Public returns the public half of the pair.
-//
-// Deprecated: only meaningful for RSA pairs (returns nil otherwise);
-// use Signer().Public() for a scheme-agnostic handle.
-func (k KeyPair) Public() *rsa.PublicKey {
-	if k.Private == nil {
-		return nil
-	}
-	return &k.Private.PublicKey
-}
-
-// GenerateKey creates a DefaultRSABits RSA key pair.
-func GenerateKey() (KeyPair, error) { return GenerateKeyBits(DefaultRSABits) }
-
-// GenerateKeyBits creates an RSA key pair of the given modulus size.
-func GenerateKeyBits(bits int) (KeyPair, error) {
-	priv, err := rsa.GenerateKey(rand.Reader, bits)
-	if err != nil {
-		return KeyPair{}, fmt.Errorf("cryptoutil: generating %d-bit RSA key: %w", bits, err)
-	}
-	return KeyPair{Private: priv}, nil
-}
-
-// GenerateKeyPair creates a key pair for the given scheme at default
-// strength, wrapped for APIs that still traffic in KeyPair.
-func GenerateKeyPair(s Scheme) (KeyPair, error) {
-	sg, err := GenerateSigner(s)
+// GenerateKeyPair is GenerateSignerBits wrapped in a KeyPair.
+func GenerateKeyPair(s Scheme, bits int) (KeyPair, error) {
+	sg, err := GenerateSignerBits(s, bits)
 	if err != nil {
 		return KeyPair{}, err
 	}
 	return SignerKeyPair(sg), nil
-}
-
-// MarshalPublicKey serializes a public key to PKIX DER bytes, the
-// canonical form hashed into certificates and evidence.
-//
-// Deprecated: use PublicKey.Marshal on a scheme handle; this form only
-// exists for raw RSA keys.
-func MarshalPublicKey(pub *rsa.PublicKey) ([]byte, error) {
-	der, err := x509.MarshalPKIXPublicKey(pub)
-	if err != nil {
-		return nil, fmt.Errorf("cryptoutil: marshaling public key: %w", err)
-	}
-	return der, nil
-}
-
-// ParsePublicKey reverses MarshalPublicKey.
-//
-// Deprecated: use ParseAnyPublicKey, which accepts every scheme's
-// marshal form (including this one).
-func ParsePublicKey(der []byte) (*rsa.PublicKey, error) {
-	k, err := x509.ParsePKIXPublicKey(der)
-	if err != nil {
-		return nil, fmt.Errorf("cryptoutil: parsing public key: %w", err)
-	}
-	pub, ok := k.(*rsa.PublicKey)
-	if !ok {
-		return nil, fmt.Errorf("cryptoutil: public key is %T, want *rsa.PublicKey", k)
-	}
-	return pub, nil
-}
-
-// PublicKeyFingerprint returns the SHA-256 digest of the PKIX encoding
-// of pub. Fingerprints name keys in certificates and revocation lists.
-//
-// Deprecated: use PublicKey.Fingerprint on a scheme handle (identical
-// value for RSA keys, and cached).
-func PublicKeyFingerprint(pub *rsa.PublicKey) (Digest, error) {
-	der, err := MarshalPublicKey(pub)
-	if err != nil {
-		return Digest{}, err
-	}
-	return Sum(SHA256, der), nil
 }
 
 // Nonce returns n cryptographically random bytes. The paper's evidence

@@ -96,8 +96,7 @@ type PublicKey interface {
 	// shared — callers must not mutate it.
 	Marshal() []byte
 	// Fingerprint is the SHA-256 digest of Marshal — the stable name
-	// of the key in certificates, caches and revocation lists. For RSA
-	// keys it equals the historical PublicKeyFingerprint value.
+	// of the key in certificates, caches and revocation lists.
 	Fingerprint() Digest
 	// Seal encrypts plaintext so only the matching Signer can open it
 	// (the paper's "encrypt the evidence with the recipient's public
@@ -116,15 +115,13 @@ type Signer interface {
 	// same Signer always returns the same PublicKey instance, so
 	// fingerprint caching holds across calls.
 	Public() PublicKey
-	// Sign signs msg.
+	// Sign signs msg: the "Sign(...)" of the paper's evidence
+	// construction Encrypt{Sign(HashOfData), Sign(Plaintext)} (§4.1),
+	// committing the signer so it cannot later deny the message.
 	Sign(msg []byte) ([]byte, error)
 	// Unseal decrypts a blob produced by the matching PublicKey's Seal.
 	Unseal(ciphertext []byte) ([]byte, error)
 }
-
-// GenerateSigner creates a fresh key for the scheme at its default
-// strength (DefaultRSABits for RSA).
-func GenerateSigner(s Scheme) (Signer, error) { return GenerateSignerBits(s, 0) }
 
 // GenerateSignerBits creates a fresh key for the scheme; bits applies
 // to RSA only (0 = DefaultRSABits) and is ignored by Ed25519.
@@ -161,20 +158,6 @@ type rsaPublic struct {
 	once sync.Once
 	der  []byte
 	fp   Digest
-}
-
-// NewRSAPublicKey wraps a raw RSA public key in a scheme handle.
-func NewRSAPublicKey(k *rsa.PublicKey) PublicKey { return &rsaPublic{k: k} }
-
-// RSAPublicKeyOf unwraps the raw RSA key from a handle, reporting
-// false for non-RSA handles. Shims use this to keep the deprecated
-// *rsa.PublicKey call forms alive.
-func RSAPublicKeyOf(pk PublicKey) (*rsa.PublicKey, bool) {
-	rp, ok := pk.(*rsaPublic)
-	if !ok {
-		return nil, false
-	}
-	return rp.k, true
 }
 
 func (p *rsaPublic) Scheme() Scheme { return SchemeRSA }

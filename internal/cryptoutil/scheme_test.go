@@ -234,61 +234,46 @@ func TestParseSchemeAndString(t *testing.T) {
 	}
 }
 
-// TestKeyPairBridge checks the KeyPair compatibility layer: legacy RSA
-// pairs gain a Signer, SignerKeyPair pairs keep the deprecated surface
-// coherent, and the deprecated shims route through the handles.
+// TestKeyPairBridge checks KeyPair against the handle it wraps: it
+// reports the signer's scheme, and the zero pair holds nothing.
 func TestKeyPairBridge(t *testing.T) {
-	legacy := InsecureTestKey(0)
-	if legacy.Scheme() != SchemeRSA {
-		t.Fatalf("legacy scheme = %v", legacy.Scheme())
-	}
-	if legacy.Signer() == nil || legacy.Public() == nil {
-		t.Fatalf("legacy pair lost a half")
-	}
-	msg := []byte("bridge message")
-	sig, err := Sign(legacy, msg) // deprecated shim
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Verify(legacy.Public(), msg, sig); err != nil { // deprecated shim
-		t.Fatal(err)
-	}
-	// Deprecated Encrypt/Decrypt shims against the handle-based seal.
-	ct, err := Encrypt(legacy.Public(), msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pt, err := Decrypt(legacy, ct)
-	if err != nil || !bytes.Equal(pt, msg) {
-		t.Fatalf("Decrypt = %q, %v", pt, err)
-	}
-
-	edPair := InsecureTestKeyScheme(0, SchemeEd25519)
-	if edPair.Scheme() != SchemeEd25519 {
-		t.Fatalf("ed pair scheme = %v", edPair.Scheme())
-	}
-	if edPair.Public() != nil {
-		t.Fatalf("deprecated Public() must be nil for non-RSA pairs")
-	}
-	if edPair.Private != nil {
-		t.Fatalf("deprecated Private must be nil for non-RSA pairs")
-	}
-	edSig, err := Sign(edPair, msg) // shim still signs via the handle
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := edPair.Signer().Public().Verify(msg, edSig); err != nil {
-		t.Fatal(err)
-	}
-	// RSAPublicKeyOf unwraps RSA handles only.
-	if _, ok := RSAPublicKeyOf(legacy.Signer().Public()); !ok {
-		t.Errorf("RSAPublicKeyOf failed on an RSA handle")
-	}
-	if _, ok := RSAPublicKeyOf(edPair.Signer().Public()); ok {
-		t.Errorf("RSAPublicKeyOf succeeded on an ed25519 handle")
-	}
+	eachScheme(t, func(t *testing.T, s Scheme) {
+		sg := goldenSigner(t, s)
+		pair := SignerKeyPair(sg)
+		if pair.Signer() != sg || pair.Scheme() != s {
+			t.Fatalf("pair = (%v, %v), want the wrapped %v signer", pair.Signer(), pair.Scheme(), s)
+		}
+	})
 	var zero KeyPair
 	if zero.Signer() != nil || zero.Scheme() != 0 {
 		t.Errorf("zero KeyPair must have no signer and zero scheme")
 	}
+}
+
+// TestKeyPairSignerStable pins KeyPair's single representation: however
+// a pair was made, Signer() hands back the one handle it holds — same
+// Signer, same PublicKey (so the fingerprint memo inside it survives) —
+// and constructs nothing.
+func TestKeyPairSignerStable(t *testing.T) {
+	eachScheme(t, func(t *testing.T, s Scheme) {
+		generated, err := GenerateKeyPair(s, 1024)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, kp := range map[string]KeyPair{
+			"InsecureTestKey": InsecureTestKeyScheme(3, s),
+			"GenerateKeyPair": generated,
+			"SignerKeyPair":   SignerKeyPair(goldenSigner(t, s)),
+		} {
+			if kp.Signer() != kp.Signer() {
+				t.Errorf("%s: Signer() returned two different handles", name)
+			}
+			if kp.Signer().Public() != kp.Signer().Public() {
+				t.Errorf("%s: Signer().Public() returned two different handles", name)
+			}
+			if n := testing.AllocsPerRun(100, func() { _ = kp.Signer() }); n != 0 {
+				t.Errorf("%s: Signer() allocates %.1f/op, want 0", name, n)
+			}
+		}
+	})
 }

@@ -21,15 +21,7 @@ func InsecureTestKeyScheme(slot int, scheme Scheme) KeyPair {
 	if kp, ok := testKeys[k]; ok {
 		return kp
 	}
-	var (
-		kp  KeyPair
-		err error
-	)
-	if scheme == SchemeRSA {
-		kp, err = GenerateKeyBits(1024)
-	} else {
-		kp, err = GenerateKeyPair(scheme)
-	}
+	kp, err := GenerateKeyPair(scheme, 1024)
 	if err != nil {
 		panic(err)
 	}

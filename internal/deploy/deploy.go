@@ -358,17 +358,7 @@ func identityKeys(cfg Config) ([]cryptoutil.KeyPair, error) {
 	}
 	keys := make([]cryptoutil.KeyPair, 4)
 	for i := range keys {
-		var k cryptoutil.KeyPair
-		var err error
-		if scheme == cryptoutil.SchemeRSA {
-			bits := cfg.KeyBits
-			if bits == 0 {
-				bits = cryptoutil.DefaultRSABits
-			}
-			k, err = cryptoutil.GenerateKeyBits(bits)
-		} else {
-			k, err = cryptoutil.GenerateKeyPair(scheme)
-		}
+		k, err := cryptoutil.GenerateKeyPair(scheme, cfg.KeyBits)
 		if err != nil {
 			return nil, fmt.Errorf("deploy: generating identity key: %w", err)
 		}

@@ -2,7 +2,6 @@ package evidence
 
 import (
 	"container/list"
-	"crypto/rsa"
 	"crypto/sha256"
 	"fmt"
 	"sync"
@@ -169,13 +168,14 @@ func (c *VerifyCache) verify(pub cryptoutil.PublicKey, msg, sig []byte) error {
 	return nil
 }
 
-// VerifyCachedWith checks both evidence signatures like VerifyWith,
-// but consults the cache so repeat verifications of the same evidence
-// under the same key cost two hash lookups instead of two public-key
-// operations. A nil cache is allowed and means no caching.
+// VerifyCachedWith checks both evidence signatures under the claimed
+// sender's public key handle, whatever its scheme, consulting the cache
+// so repeat verifications of the same evidence under the same key cost
+// two hash lookups instead of two public-key operations. A nil cache
+// means no caching; a nil key is ErrBadHeaderSig.
 func (ev *Evidence) VerifyCachedWith(senderPub cryptoutil.PublicKey, c *VerifyCache) error {
-	if c == nil {
-		return ev.VerifyWith(senderPub)
+	if senderPub == nil {
+		return fmt.Errorf("%w: nil sender public key", ErrBadHeaderSig)
 	}
 	if err := c.verify(senderPub, ev.Header.Encode(), ev.HeaderSig); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadHeaderSig, err)
@@ -186,20 +186,13 @@ func (ev *Evidence) VerifyCachedWith(senderPub cryptoutil.PublicKey, c *VerifyCa
 	return nil
 }
 
-// VerifyCached is VerifyCachedWith for RSA senders.
-//
-// Deprecated: use VerifyCachedWith with a scheme handle.
-func (ev *Evidence) VerifyCached(senderPub *rsa.PublicKey, c *VerifyCache) error {
-	return ev.VerifyCachedWith(cryptoutil.NewRSAPublicKey(senderPub), c)
-}
-
-// OpenCachedWith is OpenWith with the signature checks routed through
-// the cache. Decryption is never cached (the ciphertext is fresh per
-// seal).
+// OpenCachedWith decrypts sealed evidence with the recipient's signer
+// and verifies both signatures under the sender's public key, through
+// the cache (nil: none). Decryption is never cached (the ciphertext is
+// fresh per seal). If plainHeader is non-nil, the sealed header must
+// byte-equal it ("The peers should check the consistency between the
+// hash of the plaintext and the plaintext at first", §4.1).
 func OpenCachedWith(recipient cryptoutil.Signer, senderPub cryptoutil.PublicKey, sealed []byte, plainHeader *Header, c *VerifyCache) (*Evidence, error) {
-	if c == nil {
-		return OpenWith(recipient, senderPub, sealed, plainHeader)
-	}
 	ev, err := open(recipient, sealed, plainHeader)
 	if err != nil {
 		return nil, err
@@ -208,11 +201,4 @@ func OpenCachedWith(recipient cryptoutil.Signer, senderPub cryptoutil.PublicKey,
 		return nil, err
 	}
 	return ev, nil
-}
-
-// OpenCached is OpenCachedWith for RSA key pairs.
-//
-// Deprecated: use OpenCachedWith with scheme handles.
-func OpenCached(recipient cryptoutil.KeyPair, senderPub *rsa.PublicKey, sealed []byte, plainHeader *Header, c *VerifyCache) (*Evidence, error) {
-	return OpenCachedWith(recipient.Signer(), cryptoutil.NewRSAPublicKey(senderPub), sealed, plainHeader, c)
 }

@@ -1,20 +1,24 @@
 package evidence
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
+
+	"repro/internal/cryptoutil"
 )
 
 func TestVerifyCachedHitsOnRepeat(t *testing.T) {
+	k := castOf(cryptoutil.SchemeRSA)
 	h := testHeader([]byte("cached object"))
-	ev, _, err := Build(alice, bob.Public(), h)
+	ev, _, err := BuildFor(k.alice, k.bob.Public(), h)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := NewVerifyCache(64)
 	for i := 0; i < 5; i++ {
-		if err := ev.VerifyCached(alice.Public(), c); err != nil {
+		if err := ev.VerifyCachedWith(k.alice.Public(), c); err != nil {
 			t.Fatalf("round %d: %v", i, err)
 		}
 	}
@@ -32,56 +36,89 @@ func TestVerifyCachedHitsOnRepeat(t *testing.T) {
 	}
 }
 
+// TestVerifyCachedNilCache: every verification entry point gives the
+// same answer with a cache and without one — the evidence verifies
+// under the sender's key, and a nil sender key is ErrBadHeaderSig, not
+// a panic.
 func TestVerifyCachedNilCache(t *testing.T) {
-	h := testHeader([]byte("d"))
-	ev, _, err := Build(alice, bob.Public(), h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ev.VerifyCached(alice.Public(), nil); err != nil {
-		t.Fatalf("nil cache: %v", err)
-	}
+	eachScheme(t, func(t *testing.T, k cast) {
+		h := testHeader([]byte("d"))
+		ev, sealed, err := BuildFor(k.alice, k.bob.Public(), h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			name   string
+			sender cryptoutil.PublicKey
+			cache  *VerifyCache
+			want   error
+		}{
+			{"key, no cache", k.alice.Public(), nil, nil},
+			{"key, cache", k.alice.Public(), NewVerifyCache(64), nil},
+			{"nil key, no cache", nil, nil, ErrBadHeaderSig},
+			{"nil key, cache", nil, NewVerifyCache(64), ErrBadHeaderSig},
+		} {
+			if err := ev.VerifyCachedWith(tc.sender, tc.cache); !errors.Is(err, tc.want) {
+				t.Errorf("%s: VerifyCachedWith = %v, want %v", tc.name, err, tc.want)
+			}
+			if _, err := OpenCachedWith(k.bob, tc.sender, sealed, h, tc.cache); !errors.Is(err, tc.want) {
+				t.Errorf("%s: OpenCachedWith = %v, want %v", tc.name, err, tc.want)
+			}
+			if tc.cache != nil {
+				continue
+			}
+			if err := ev.VerifyWith(tc.sender); !errors.Is(err, tc.want) {
+				t.Errorf("%s: VerifyWith = %v, want %v", tc.name, err, tc.want)
+			}
+			if _, err := OpenWith(k.bob, tc.sender, sealed, h); !errors.Is(err, tc.want) {
+				t.Errorf("%s: OpenWith = %v, want %v", tc.name, err, tc.want)
+			}
+		}
+	})
 }
 
 // TestVerifyCacheNeverCachesFailures checks the security property: a
 // failed verification leaves no trace, so repeat failures re-verify
 // every time and the bounded LRU cannot be flushed by garbage.
 func TestVerifyCacheNeverCachesFailures(t *testing.T) {
-	h := testHeader([]byte("d"))
-	ev, _, err := Build(alice, bob.Public(), h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewVerifyCache(64)
-	// Wrong sender key: both attempts must fail and cache nothing.
-	for i := 0; i < 2; i++ {
-		if err := ev.VerifyCached(eve.Public(), c); err == nil {
-			t.Fatal("verified under the wrong key")
+	eachScheme(t, func(t *testing.T, k cast) {
+		h := testHeader([]byte("d"))
+		ev, _, err := BuildFor(k.alice, k.bob.Public(), h)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if n := c.Len(); n != 0 {
-		t.Fatalf("failed verifications cached %d entries", n)
-	}
-	hits, _ := c.Stats()
-	if hits != 0 {
-		t.Fatalf("failed verifications produced %d hits", hits)
-	}
-	// The right key must still verify (no poisoned negative entry).
-	if err := ev.VerifyCached(alice.Public(), c); err != nil {
-		t.Fatalf("correct key after failures: %v", err)
-	}
+		c := NewVerifyCache(64)
+		// Wrong sender key: both attempts must fail and cache nothing.
+		for i := 0; i < 2; i++ {
+			if err := ev.VerifyCachedWith(k.eve.Public(), c); err == nil {
+				t.Fatal("verified under the wrong key")
+			}
+		}
+		if n := c.Len(); n != 0 {
+			t.Fatalf("failed verifications cached %d entries", n)
+		}
+		hits, _ := c.Stats()
+		if hits != 0 {
+			t.Fatalf("failed verifications produced %d hits", hits)
+		}
+		// The right key must still verify (no poisoned negative entry).
+		if err := ev.VerifyCachedWith(k.alice.Public(), c); err != nil {
+			t.Fatalf("correct key after failures: %v", err)
+		}
+	})
 }
 
 func TestVerifyCacheBounded(t *testing.T) {
 	const capacity = 32
+	k := castOf(cryptoutil.SchemeRSA)
 	c := NewVerifyCache(capacity)
 	for i := 0; i < 3*capacity; i++ {
 		h := testHeader([]byte(fmt.Sprintf("object-%d", i)))
-		ev, _, err := Build(alice, bob.Public(), h)
+		ev, _, err := BuildFor(k.alice, k.bob.Public(), h)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ev.VerifyCached(alice.Public(), c); err != nil {
+		if err := ev.VerifyCachedWith(k.alice.Public(), c); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -98,10 +135,11 @@ func TestVerifyCacheBounded(t *testing.T) {
 // (failures that must not cache), under -race.
 func TestVerifyCacheConcurrent(t *testing.T) {
 	const verifiers = 32
+	k := castOf(cryptoutil.SchemeRSA)
 	shared := make([]*Evidence, 4)
 	for i := range shared {
 		h := testHeader([]byte(fmt.Sprintf("shared-%d", i)))
-		ev, _, err := Build(alice, bob.Public(), h)
+		ev, _, err := BuildFor(k.alice, k.bob.Public(), h)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,11 +153,11 @@ func TestVerifyCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				ev := shared[(g+i)%len(shared)]
-				if err := ev.VerifyCached(alice.Public(), c); err != nil {
+				if err := ev.VerifyCachedWith(k.alice.Public(), c); err != nil {
 					t.Errorf("g%d round %d: %v", g, i, err)
 					return
 				}
-				if err := ev.VerifyCached(eve.Public(), c); err == nil {
+				if err := ev.VerifyCachedWith(k.eve.Public(), c); err == nil {
 					t.Errorf("g%d round %d: wrong key verified", g, i)
 					return
 				}
@@ -137,32 +175,30 @@ func TestVerifyCacheConcurrent(t *testing.T) {
 }
 
 func TestOpenCachedMatchesOpen(t *testing.T) {
-	data := []byte("the stored object")
-	h := testHeader(data)
-	_, sealed, err := Build(alice, bob.Public(), h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewVerifyCache(64)
-	for i := 0; i < 3; i++ {
-		ev, err := OpenCached(bob, alice.Public(), sealed, h, c)
+	eachScheme(t, func(t *testing.T, k cast) {
+		data := []byte("the stored object")
+		h := testHeader(data)
+		_, sealed, err := BuildFor(k.alice, k.bob.Public(), h)
 		if err != nil {
-			t.Fatalf("OpenCached round %d: %v", i, err)
-		}
-		if err := ev.VerifyAgainstData(alice.Public(), data); err != nil {
 			t.Fatal(err)
 		}
-	}
-	hits, _ := c.Stats()
-	if hits == 0 {
-		t.Fatal("repeat OpenCached produced no cache hits")
-	}
-	// Wrong sender key must still fail through the cached path.
-	if _, err := OpenCached(bob, eve.Public(), sealed, h, c); err == nil {
-		t.Fatal("OpenCached verified under the wrong key")
-	}
-	// Nil cache must behave exactly like Open.
-	if _, err := OpenCached(bob, alice.Public(), sealed, h, nil); err != nil {
-		t.Fatalf("OpenCached nil cache: %v", err)
-	}
+		c := NewVerifyCache(64)
+		for i := 0; i < 3; i++ {
+			ev, err := OpenCachedWith(k.bob, k.alice.Public(), sealed, h, c)
+			if err != nil {
+				t.Fatalf("OpenCachedWith round %d: %v", i, err)
+			}
+			if err := ev.VerifyAgainstDataWith(k.alice.Public(), data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		hits, _ := c.Stats()
+		if hits == 0 {
+			t.Fatal("repeat OpenCachedWith produced no cache hits")
+		}
+		// Wrong sender key must still fail through the cached path.
+		if _, err := OpenCachedWith(k.bob, k.eve.Public(), sealed, h, c); err == nil {
+			t.Fatal("OpenCachedWith verified under the wrong key")
+		}
+	})
 }

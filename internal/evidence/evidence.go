@@ -16,7 +16,6 @@ package evidence
 
 import (
 	"bytes"
-	"crypto/rsa"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -315,38 +314,13 @@ func BuildFor(sender cryptoutil.Signer, recipient cryptoutil.PublicKey, h *Heade
 	return NewBuilder(sender).Build(recipient, h)
 }
 
-// Build is BuildFor restricted to RSA recipients.
-//
-// Deprecated: use BuildFor with scheme handles.
-func Build(sender cryptoutil.KeyPair, recipient *rsa.PublicKey, h *Header) (*Evidence, []byte, error) {
-	return BuildFor(sender.Signer(), cryptoutil.NewRSAPublicKey(recipient), h)
-}
-
-// OpenWith decrypts sealed evidence with the recipient's signer and
-// verifies both signatures under the sender's public key. If
-// plainHeader is non-nil, the sealed header must byte-equal it ("The
-// peers should check the consistency between the hash of the plaintext
-// and the plaintext at first", §4.1).
+// OpenWith is OpenCachedWith without a cache.
 func OpenWith(recipient cryptoutil.Signer, senderPub cryptoutil.PublicKey, sealed []byte, plainHeader *Header) (*Evidence, error) {
-	ev, err := open(recipient, sealed, plainHeader)
-	if err != nil {
-		return nil, err
-	}
-	if err := ev.VerifyWith(senderPub); err != nil {
-		return nil, err
-	}
-	return ev, nil
-}
-
-// Open is OpenWith restricted to RSA senders.
-//
-// Deprecated: use OpenWith with scheme handles.
-func Open(recipient cryptoutil.KeyPair, senderPub *rsa.PublicKey, sealed []byte, plainHeader *Header) (*Evidence, error) {
-	return OpenWith(recipient.Signer(), cryptoutil.NewRSAPublicKey(senderPub), sealed, plainHeader)
+	return OpenCachedWith(recipient, senderPub, sealed, plainHeader, nil)
 }
 
 // open decrypts and decodes sealed evidence without verifying the
-// signatures; OpenWith and OpenCached layer their verification on top.
+// signatures; OpenCachedWith layers the verification on top.
 func open(recipient cryptoutil.Signer, sealed []byte, plainHeader *Header) (*Evidence, error) {
 	if recipient == nil {
 		return nil, fmt.Errorf("evidence: nil recipient signer")
@@ -375,26 +349,9 @@ func open(recipient cryptoutil.Signer, sealed []byte, plainHeader *Header) (*Evi
 	return &Evidence{Header: h, DataSig: dataSig, HeaderSig: headerSig}, nil
 }
 
-// VerifyWith checks both signatures under the claimed sender's public
-// key handle, whatever its scheme.
+// VerifyWith is VerifyCachedWith without a cache.
 func (ev *Evidence) VerifyWith(senderPub cryptoutil.PublicKey) error {
-	if senderPub == nil {
-		return fmt.Errorf("%w: nil sender public key", ErrBadHeaderSig)
-	}
-	if err := senderPub.Verify(ev.Header.Encode(), ev.HeaderSig); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadHeaderSig, err)
-	}
-	if err := senderPub.Verify(ev.Header.digestBytes(), ev.DataSig); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadDataSig, err)
-	}
-	return nil
-}
-
-// Verify checks both signatures under the claimed sender's public key.
-//
-// Deprecated: use VerifyWith with a scheme handle.
-func (ev *Evidence) Verify(senderPub *rsa.PublicKey) error {
-	return ev.VerifyWith(cryptoutil.NewRSAPublicKey(senderPub))
+	return ev.VerifyCachedWith(senderPub, nil)
 }
 
 // VerifyAgainstDataWith additionally checks that data matches the
@@ -408,13 +365,6 @@ func (ev *Evidence) VerifyAgainstDataWith(senderPub cryptoutil.PublicKey, data [
 		return fmt.Errorf("%w: object %q", ErrDigestMismatch, ev.Header.ObjectKey)
 	}
 	return nil
-}
-
-// VerifyAgainstData is VerifyAgainstDataWith for RSA senders.
-//
-// Deprecated: use VerifyAgainstDataWith with a scheme handle.
-func (ev *Evidence) VerifyAgainstData(senderPub *rsa.PublicKey, data []byte) error {
-	return ev.VerifyAgainstDataWith(cryptoutil.NewRSAPublicKey(senderPub), data)
 }
 
 // Encode serializes opened evidence (for storage and for submission to

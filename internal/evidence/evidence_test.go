@@ -10,11 +10,25 @@ import (
 	"repro/internal/cryptoutil"
 )
 
-var (
-	alice = cryptoutil.InsecureTestKey(30)
-	bob   = cryptoutil.InsecureTestKey(31)
-	eve   = cryptoutil.InsecureTestKey(32)
-)
+// cast is the three parties of the tests, as handles of one scheme.
+type cast struct{ alice, bob, eve cryptoutil.Signer }
+
+func castOf(s cryptoutil.Scheme) cast {
+	return cast{
+		alice: cryptoutil.InsecureTestKeyScheme(30, s).Signer(),
+		bob:   cryptoutil.InsecureTestKeyScheme(31, s).Signer(),
+		eve:   cryptoutil.InsecureTestKeyScheme(32, s).Signer(),
+	}
+}
+
+// eachScheme runs f once per registered scheme, as a subtest named
+// after it, with that scheme's cast.
+func eachScheme(t *testing.T, f func(t *testing.T, k cast)) {
+	t.Helper()
+	for _, s := range bothSchemes {
+		t.Run(s.String(), func(t *testing.T) { f(t, castOf(s)) })
+	}
+}
 
 func testHeader(data []byte) *Header {
 	h := &Header{
@@ -66,142 +80,160 @@ func TestDecodeHeaderRejectsGarbage(t *testing.T) {
 }
 
 func TestBuildOpenRoundTrip(t *testing.T) {
-	data := []byte("the stored object")
-	h := testHeader(data)
-	own, sealed, err := Build(alice, bob.Public(), h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Open(bob, alice.Public(), sealed, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.DataSig, own.DataSig) || !bytes.Equal(got.HeaderSig, own.HeaderSig) {
-		t.Fatal("opened evidence differs from built evidence")
-	}
-	if err := got.VerifyAgainstData(alice.Public(), data); err != nil {
-		t.Fatal(err)
-	}
+	eachScheme(t, func(t *testing.T, k cast) {
+		data := []byte("the stored object")
+		h := testHeader(data)
+		own, sealed, err := BuildFor(k.alice, k.bob.Public(), h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := OpenWith(k.bob, k.alice.Public(), sealed, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.DataSig, own.DataSig) || !bytes.Equal(got.HeaderSig, own.HeaderSig) {
+			t.Fatal("opened evidence differs from built evidence")
+		}
+		if err := got.VerifyAgainstDataWith(k.alice.Public(), data); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestOpenWrongRecipient(t *testing.T) {
-	h := testHeader([]byte("d"))
-	_, sealed, err := Build(alice, bob.Public(), h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Eve intercepts but cannot open: confidentiality of evidence.
-	if _, err := Open(eve, alice.Public(), sealed, h); err == nil {
-		t.Fatal("evidence opened by non-recipient")
-	}
+	eachScheme(t, func(t *testing.T, k cast) {
+		h := testHeader([]byte("d"))
+		_, sealed, err := BuildFor(k.alice, k.bob.Public(), h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Eve intercepts but cannot open: confidentiality of evidence.
+		if _, err := OpenWith(k.eve, k.alice.Public(), sealed, h); err == nil {
+			t.Fatal("evidence opened by non-recipient")
+		}
+	})
 }
 
 func TestOpenWrongSenderKey(t *testing.T) {
-	h := testHeader([]byte("d"))
-	_, sealed, err := Build(eve, bob.Public(), h) // eve impersonates alice
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = Open(bob, alice.Public(), sealed, h)
-	if !errors.Is(err, ErrBadHeaderSig) && !errors.Is(err, ErrBadDataSig) {
-		t.Fatalf("err = %v, want signature failure", err)
-	}
+	eachScheme(t, func(t *testing.T, k cast) {
+		h := testHeader([]byte("d"))
+		_, sealed, err := BuildFor(k.eve, k.bob.Public(), h) // eve impersonates alice
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = OpenWith(k.bob, k.alice.Public(), sealed, h)
+		if !errors.Is(err, ErrBadHeaderSig) && !errors.Is(err, ErrBadDataSig) {
+			t.Fatalf("err = %v, want signature failure", err)
+		}
+	})
 }
 
 func TestOpenHeaderMismatch(t *testing.T) {
-	h := testHeader([]byte("d"))
-	_, sealed, err := Build(alice, bob.Public(), h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The plaintext header claims a different object: the sealed copy
-	// must win and the mismatch be detected.
-	tampered := *h
-	tampered.ObjectKey = "finance/other.xls"
-	if _, err := Open(bob, alice.Public(), sealed, &tampered); !errors.Is(err, ErrHeaderMismatch) {
-		t.Fatalf("err = %v, want ErrHeaderMismatch", err)
-	}
+	eachScheme(t, func(t *testing.T, k cast) {
+		h := testHeader([]byte("d"))
+		_, sealed, err := BuildFor(k.alice, k.bob.Public(), h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The plaintext header claims a different object: the sealed copy
+		// must win and the mismatch be detected.
+		tampered := *h
+		tampered.ObjectKey = "finance/other.xls"
+		if _, err := OpenWith(k.bob, k.alice.Public(), sealed, &tampered); !errors.Is(err, ErrHeaderMismatch) {
+			t.Fatalf("err = %v, want ErrHeaderMismatch", err)
+		}
+	})
 }
 
 func TestOpenWithoutPlainHeader(t *testing.T) {
-	h := testHeader([]byte("d"))
-	_, sealed, err := Build(alice, bob.Public(), h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(bob, alice.Public(), sealed, nil); err != nil {
-		t.Fatalf("Open with nil plain header: %v", err)
-	}
+	eachScheme(t, func(t *testing.T, k cast) {
+		h := testHeader([]byte("d"))
+		_, sealed, err := BuildFor(k.alice, k.bob.Public(), h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenWith(k.bob, k.alice.Public(), sealed, nil); err != nil {
+			t.Fatalf("OpenWith with nil plain header: %v", err)
+		}
+	})
 }
 
 func TestVerifyAgainstDataDetectsTampering(t *testing.T) {
-	data := []byte("ledger total = 1000")
-	h := testHeader(data)
-	ev, _, err := Build(alice, bob.Public(), h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tampered := []byte("ledger total = 9999")
-	if err := ev.VerifyAgainstData(alice.Public(), tampered); !errors.Is(err, ErrDigestMismatch) {
-		t.Fatalf("err = %v, want ErrDigestMismatch", err)
-	}
+	eachScheme(t, func(t *testing.T, k cast) {
+		data := []byte("ledger total = 1000")
+		h := testHeader(data)
+		ev, _, err := BuildFor(k.alice, k.bob.Public(), h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tampered := []byte("ledger total = 9999")
+		if err := ev.VerifyAgainstDataWith(k.alice.Public(), tampered); !errors.Is(err, ErrDigestMismatch) {
+			t.Fatalf("err = %v, want ErrDigestMismatch", err)
+		}
+	})
 }
 
 func TestEvidenceBitFlipsRejected(t *testing.T) {
-	data := []byte("d")
-	h := testHeader(data)
-	ev, _, err := Build(alice, bob.Public(), h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Flip a bit in each signature.
-	badData := &Evidence{Header: h, DataSig: append([]byte(nil), ev.DataSig...), HeaderSig: ev.HeaderSig}
-	badData.DataSig[0] ^= 1
-	if err := badData.Verify(alice.Public()); !errors.Is(err, ErrBadDataSig) {
-		t.Fatalf("flipped DataSig: %v", err)
-	}
-	badHdr := &Evidence{Header: h, DataSig: ev.DataSig, HeaderSig: append([]byte(nil), ev.HeaderSig...)}
-	badHdr.HeaderSig[0] ^= 1
-	if err := badHdr.Verify(alice.Public()); !errors.Is(err, ErrBadHeaderSig) {
-		t.Fatalf("flipped HeaderSig: %v", err)
-	}
-	// Mutate a header field: the header signature must break.
-	mutated := *h
-	mutated.Seq++
-	bad := &Evidence{Header: &mutated, DataSig: ev.DataSig, HeaderSig: ev.HeaderSig}
-	if err := bad.Verify(alice.Public()); !errors.Is(err, ErrBadHeaderSig) {
-		t.Fatalf("mutated header: %v", err)
-	}
+	eachScheme(t, func(t *testing.T, k cast) {
+		data := []byte("d")
+		h := testHeader(data)
+		ev, _, err := BuildFor(k.alice, k.bob.Public(), h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Flip a bit in each signature.
+		badData := &Evidence{Header: h, DataSig: append([]byte(nil), ev.DataSig...), HeaderSig: ev.HeaderSig}
+		badData.DataSig[0] ^= 1
+		if err := badData.VerifyWith(k.alice.Public()); !errors.Is(err, ErrBadDataSig) {
+			t.Fatalf("flipped DataSig: %v", err)
+		}
+		badHdr := &Evidence{Header: h, DataSig: ev.DataSig, HeaderSig: append([]byte(nil), ev.HeaderSig...)}
+		badHdr.HeaderSig[0] ^= 1
+		if err := badHdr.VerifyWith(k.alice.Public()); !errors.Is(err, ErrBadHeaderSig) {
+			t.Fatalf("flipped HeaderSig: %v", err)
+		}
+		// Mutate a header field: the header signature must break.
+		mutated := *h
+		mutated.Seq++
+		bad := &Evidence{Header: &mutated, DataSig: ev.DataSig, HeaderSig: ev.HeaderSig}
+		if err := bad.VerifyWith(k.alice.Public()); !errors.Is(err, ErrBadHeaderSig) {
+			t.Fatalf("mutated header: %v", err)
+		}
+	})
 }
 
 func TestEvidencePlainEncodeDecode(t *testing.T) {
-	h := testHeader([]byte("archive me"))
-	ev, _, err := Build(alice, bob.Public(), h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decode(ev.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := got.VerifyAgainstData(alice.Public(), []byte("archive me")); err != nil {
-		t.Fatalf("decoded evidence fails verification: %v", err)
-	}
+	eachScheme(t, func(t *testing.T, k cast) {
+		h := testHeader([]byte("archive me"))
+		ev, _, err := BuildFor(k.alice, k.bob.Public(), h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Decode(ev.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := got.VerifyAgainstDataWith(k.alice.Public(), []byte("archive me")); err != nil {
+			t.Fatalf("decoded evidence fails verification: %v", err)
+		}
+	})
 	if _, err := Decode([]byte("garbage")); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("garbage: %v", err)
 	}
 }
 
 func TestSealedEvidenceTamperRejected(t *testing.T) {
-	h := testHeader([]byte("d"))
-	_, sealed, err := Build(alice, bob.Public(), h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sealed[len(sealed)/2] ^= 1
-	if _, err := Open(bob, alice.Public(), sealed, h); err == nil {
-		t.Fatal("tampered sealed evidence accepted")
-	}
+	eachScheme(t, func(t *testing.T, k cast) {
+		h := testHeader([]byte("d"))
+		_, sealed, err := BuildFor(k.alice, k.bob.Public(), h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sealed[len(sealed)/2] ^= 1
+		if _, err := OpenWith(k.bob, k.alice.Public(), sealed, h); err == nil {
+			t.Fatal("tampered sealed evidence accepted")
+		}
+	})
 }
 
 func TestKindStrings(t *testing.T) {

@@ -13,7 +13,8 @@ func buildKind(t *testing.T, kind Kind, txn string) *Evidence {
 	h := testHeader([]byte("data"))
 	h.Kind = kind
 	h.TxnID = txn
-	ev, _, err := Build(alice, bob.Public(), h)
+	k := castOf(cryptoutil.SchemeRSA)
+	ev, _, err := BuildFor(k.alice, k.bob.Public(), h)
 	if err != nil {
 		t.Fatal(err)
 	}

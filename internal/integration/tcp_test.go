@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/cryptoutil"
 	"repro/internal/keystore"
 	"repro/internal/metrics"
 	"repro/internal/storage"
@@ -36,14 +37,10 @@ type tcpWorld struct {
 func newTCPWorld(t *testing.T) *tcpWorld {
 	t.Helper()
 	dir := t.TempDir()
-	if err := keystore.Init(dir, []string{"alice", "bob", "ttp"}, 1024, time.Hour); err != nil {
+	if err := keystore.InitScheme(dir, []string{"alice", "bob", "ttp"}, 1024, time.Hour, cryptoutil.SchemeRSA); err != nil {
 		t.Fatal(err)
 	}
 	world, err := keystore.LoadWorld(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	caKey, err := world.CAKey()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +51,7 @@ func newTCPWorld(t *testing.T) *tcpWorld {
 		}
 		return []core.Option{
 			core.WithIdentity(id),
-			core.WithCAKey(caKey),
+			core.WithCAPublicKey(world.CAPublicKey()),
 			core.WithDirectory(world.Lookup),
 			core.WithCounters(&metrics.Counters{}),
 			core.WithResponseTimeout(2 * time.Second),
@@ -281,14 +278,10 @@ func TestMixedIdentityRejectedOverTCP(t *testing.T) {
 	w := newTCPWorld(t)
 	// Build an impostor with its own CA.
 	otherDir := t.TempDir()
-	if err := keystore.Init(otherDir, []string{"alice", "bob", "ttp"}, 1024, time.Hour); err != nil {
+	if err := keystore.InitScheme(otherDir, []string{"alice", "bob", "ttp"}, 1024, time.Hour, cryptoutil.SchemeRSA); err != nil {
 		t.Fatal(err)
 	}
 	otherWorld, err := keystore.LoadWorld(otherDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	otherCA, err := otherWorld.CAKey()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +291,7 @@ func TestMixedIdentityRejectedOverTCP(t *testing.T) {
 	}
 	impostor, err := core.NewClient("bob", "ttp",
 		core.WithIdentity(id),
-		core.WithCAKey(otherCA),
+		core.WithCAPublicKey(otherWorld.CAPublicKey()),
 		core.WithDirectory(otherWorld.Lookup),
 		core.WithResponseTimeout(500*time.Millisecond),
 	)

@@ -12,7 +12,7 @@ import (
 // not re-parse DER (which allocated on every inbound message before).
 func TestWorldLookupAllocs(t *testing.T) {
 	dir := t.TempDir()
-	if err := Init(dir, []string{"alice", "bob"}, 1024, time.Hour); err != nil {
+	if err := InitScheme(dir, []string{"alice", "bob"}, 1024, time.Hour, cryptoutil.SchemeRSA); err != nil {
 		t.Fatal(err)
 	}
 	w, err := LoadWorld(dir)

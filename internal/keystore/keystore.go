@@ -12,10 +12,10 @@
 package keystore
 
 import (
-	"crypto/rsa"
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
+	"net/url"
 	"os"
 	"path/filepath"
 	"sort"
@@ -74,27 +74,17 @@ type partyJSON struct {
 	Cert       certJSON `json:"certificate"`
 }
 
-// Init creates a state directory with a fresh RSA CA and one RSA
-// identity per name, valid for the given duration.
-func Init(dir string, names []string, keyBits int, validity time.Duration) error {
-	return InitScheme(dir, names, keyBits, validity, cryptoutil.SchemeRSA)
-}
-
-// InitScheme is Init with a signature-scheme choice. keyBits applies
-// to RSA only. Private keys are stored in the scheme's MarshalSigner
-// form — for RSA that is the PKCS#1 DER this package has always
-// written, so existing state directories keep loading.
+// InitScheme creates a state directory with a fresh CA and one
+// identity per name under the given scheme, valid for the given
+// duration. keyBits applies to RSA only. Private keys are stored in the
+// scheme's MarshalSigner form — for RSA that is the PKCS#1 DER this
+// package has always written, so existing state directories keep
+// loading.
 func InitScheme(dir string, names []string, keyBits int, validity time.Duration, scheme cryptoutil.Scheme) error {
 	if err := os.MkdirAll(filepath.Join(dir, "evidence"), 0o755); err != nil {
 		return fmt.Errorf("keystore: creating %s: %w", dir, err)
 	}
-	genKey := func() (cryptoutil.KeyPair, error) {
-		if scheme == cryptoutil.SchemeRSA {
-			return cryptoutil.GenerateKeyBits(keyBits)
-		}
-		return cryptoutil.GenerateKeyPair(scheme)
-	}
-	caKey, err := genKey()
+	caKey, err := cryptoutil.GenerateKeyPair(scheme, keyBits)
 	if err != nil {
 		return err
 	}
@@ -108,7 +98,7 @@ func InitScheme(dir string, names []string, keyBits int, validity time.Duration,
 	bundle.CAPublicKey = base64.StdEncoding.EncodeToString(caPub.Marshal())
 
 	for _, name := range names {
-		key, err := genKey()
+		key, err := cryptoutil.GenerateKeyPair(scheme, keyBits)
 		if err != nil {
 			return err
 		}
@@ -184,16 +174,6 @@ func LoadWorld(dir string) (*World, error) {
 // CAPublicKey returns the CA key handle parsed at load time.
 func (w *World) CAPublicKey() cryptoutil.PublicKey { return w.caKey }
 
-// CAKey returns the CA public key.
-//
-// Deprecated: use CAPublicKey — it is parse-free and scheme-agnostic.
-func (w *World) CAKey() (*rsa.PublicKey, error) {
-	if pub, ok := cryptoutil.RSAPublicKeyOf(w.caKey); ok {
-		return pub, nil
-	}
-	return nil, fmt.Errorf("keystore: CA key is %s, not RSA", w.caKey.Scheme())
-}
-
 // Key returns the cached public key handle for a known identity. The
 // handle (and its fingerprint) is parsed once at LoadWorld, so calling
 // this per inbound message costs a map lookup, not a DER parse.
@@ -257,18 +237,16 @@ func LoadIdentity(dir, name string) (*pki.Identity, error) {
 
 // SaveEvidence archives one evidence item under the state directory.
 func SaveEvidence(dir, txn string, role evidence.Role, ev *evidence.Evidence) error {
-	name := fmt.Sprintf("%s.%s.%s.json", sanitize(txn), role, ev.Header.Kind)
 	payload := map[string]string{
 		"encoded_b64": base64.StdEncoding.EncodeToString(ev.Encode()),
 	}
-	return writeJSON(filepath.Join(dir, "evidence", name), payload)
+	return writeJSON(evidenceFile(dir, txn, role, ev.Header.Kind), payload)
 }
 
 // LoadEvidence reads one archived evidence item.
 func LoadEvidence(dir, txn string, role evidence.Role, kind evidence.Kind) (*evidence.Evidence, error) {
-	name := fmt.Sprintf("%s.%s.%s.json", sanitize(txn), role, kind)
 	var payload map[string]string
-	if err := readJSON(filepath.Join(dir, "evidence", name), &payload); err != nil {
+	if err := readJSON(evidenceFile(dir, txn, role, kind), &payload); err != nil {
 		return nil, err
 	}
 	raw, err := base64.StdEncoding.DecodeString(payload["encoded_b64"])
@@ -294,15 +272,12 @@ func ListEvidence(dir string) ([]string, error) {
 	return out, nil
 }
 
-func sanitize(s string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_':
-			return r
-		default:
-			return '_'
-		}
-	}, s)
+// evidenceFile names the file one evidence item is archived under. The
+// transaction ID is path-escaped, which is injective — distinct IDs
+// never share a file — keeps the name one path element, and leaves IDs
+// made of letters, digits, '-' and '_' as they are.
+func evidenceFile(dir, txn string, role evidence.Role, kind evidence.Kind) string {
+	return filepath.Join(dir, "evidence", fmt.Sprintf("%s.%s.%s.json", url.PathEscape(txn), role, kind))
 }
 
 func writeJSON(path string, v any) error {

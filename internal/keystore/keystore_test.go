@@ -13,7 +13,7 @@ import (
 func initDir(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
-	if err := Init(dir, []string{"alice", "bob", "ttp"}, 1024, 24*time.Hour); err != nil {
+	if err := InitScheme(dir, []string{"alice", "bob", "ttp"}, 1024, 24*time.Hour, cryptoutil.SchemeRSA); err != nil {
 		t.Fatal(err)
 	}
 	return dir
@@ -29,17 +29,13 @@ func TestInitAndLoadWorld(t *testing.T) {
 	if len(names) != 3 || names[0] != "alice" || names[1] != "bob" || names[2] != "ttp" {
 		t.Fatalf("Names = %v", names)
 	}
-	caKey, err := w.CAKey()
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Every certificate must verify under the published CA key.
 	for _, name := range names {
 		cert, err := w.Lookup(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := pki.VerifyCertificate(caKey, cert, time.Now(), nil); err != nil {
+		if err := pki.VerifyCertificateWith(w.CAPublicKey(), cert, time.Now(), nil); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
@@ -59,15 +55,15 @@ func TestLoadIdentityRoundTrip(t *testing.T) {
 	}
 	// The loaded private key must actually sign verifiably under the
 	// certified public key.
-	sig, err := cryptoutil.Sign(id.Key, []byte("probe"))
+	sig, err := id.Key.Signer().Sign([]byte("probe"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pub, err := id.Cert.PublicKey()
+	pub, err := id.Cert.Key()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cryptoutil.Verify(pub, []byte("probe"), sig); err != nil {
+	if err := pub.Verify([]byte("probe"), sig); err != nil {
 		t.Fatalf("loaded key does not match certificate: %v", err)
 	}
 	if _, err := LoadIdentity(dir, "nobody"); err == nil {
@@ -85,7 +81,7 @@ func TestEvidencePersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bobPub, err := bob.Cert.PublicKey()
+	bobPub, err := bob.Cert.Key()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +91,7 @@ func TestEvidencePersistence(t *testing.T) {
 		TTPID: "ttp", Timestamp: time.Now(), ObjectKey: "k",
 	}
 	h.SetDigests([]byte("data"))
-	ev, _, err := evidence.Build(alice.Key, bobPub, h)
+	ev, _, err := evidence.BuildFor(alice.Key.Signer(), bobPub, h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,11 +102,11 @@ func TestEvidencePersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	alicePub, err := alice.Cert.PublicKey()
+	alicePub, err := alice.Cert.Key()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := got.VerifyAgainstData(alicePub, []byte("data")); err != nil {
+	if err := got.VerifyAgainstDataWith(alicePub, []byte("data")); err != nil {
 		t.Fatalf("persisted evidence fails verification: %v", err)
 	}
 	files, err := ListEvidence(dir)
@@ -119,6 +115,36 @@ func TestEvidencePersistence(t *testing.T) {
 	}
 	if _, err := LoadEvidence(dir, "ghost", evidence.RoleOwn, evidence.KindNRO); err == nil {
 		t.Fatal("loading missing evidence succeeded")
+	}
+
+	// Transaction IDs that differ only in bytes a file name cannot
+	// carry must not share a file: each reads back as itself.
+	ids := []string{"a/b", "a_b", "a.b", "a b", "a%2Fb"}
+	for _, txn := range ids {
+		h := *h
+		h.TxnID = txn
+		ev, _, err := evidence.BuildFor(alice.Key.Signer(), bobPub, &h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := SaveEvidence(dir, txn, evidence.RoleOwn, ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, txn := range ids {
+		got, err := LoadEvidence(dir, txn, evidence.RoleOwn, evidence.KindNRO)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Header.TxnID != txn {
+			t.Errorf("evidence saved under %q reads back as %q", txn, got.Header.TxnID)
+		}
+		if err := got.VerifyAgainstDataWith(alicePub, []byte("data")); err != nil {
+			t.Errorf("%q: persisted evidence fails verification: %v", txn, err)
+		}
+	}
+	if files, err := ListEvidence(dir); err != nil || len(files) != 1+len(ids) {
+		t.Errorf("ListEvidence = %v, %v; want %d files", files, err, 1+len(ids))
 	}
 }
 

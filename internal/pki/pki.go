@@ -13,7 +13,6 @@ package pki
 
 import (
 	"bytes"
-	"crypto/rsa"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -54,13 +53,6 @@ type Certificate struct {
 // Key decodes the certified public key as a scheme handle.
 func (c *Certificate) Key() (cryptoutil.PublicKey, error) {
 	return cryptoutil.ParseAnyPublicKey(c.PublicKeyDER)
-}
-
-// PublicKey decodes the certified public key.
-//
-// Deprecated: use Key — it accepts every scheme's encoding.
-func (c *Certificate) PublicKey() (*rsa.PublicKey, error) {
-	return cryptoutil.ParsePublicKey(c.PublicKeyDER)
 }
 
 // CanonicalBytes returns the deterministic byte string the CA signs.
@@ -120,11 +112,6 @@ func (a *Authority) Key() cryptoutil.PublicKey {
 	return nil
 }
 
-// PublicKey returns the CA verification key that relying parties pin.
-//
-// Deprecated: use Key — this returns nil for a non-RSA CA.
-func (a *Authority) PublicKey() *rsa.PublicKey { return a.key.Public() }
-
 // EnrollKey certifies subject's public key handle for the given
 // validity window and records the certificate in the directory.
 // Enrolling an already enrolled subject fails with ErrDuplicate; use
@@ -153,13 +140,6 @@ func (a *Authority) EnrollKey(subject string, pub cryptoutil.PublicKey, notBefor
 	return cert.Clone(), nil
 }
 
-// Enroll is EnrollKey for a raw RSA key.
-//
-// Deprecated: use EnrollKey with a scheme handle.
-func (a *Authority) Enroll(subject string, pub *rsa.PublicKey, notBefore, notAfter time.Time) (*Certificate, error) {
-	return a.EnrollKey(subject, cryptoutil.NewRSAPublicKey(pub), notBefore, notAfter)
-}
-
 // RenewKey issues a fresh certificate for an already enrolled subject,
 // revoking the previous one. The new key may use a different scheme
 // than the old (that is how a deployment migrates schemes in place).
@@ -181,13 +161,6 @@ func (a *Authority) RenewKey(subject string, pub cryptoutil.PublicKey, notBefore
 	}
 	a.bySubject[subject] = cert
 	return cert.Clone(), nil
-}
-
-// Renew is RenewKey for a raw RSA key.
-//
-// Deprecated: use RenewKey with a scheme handle.
-func (a *Authority) Renew(subject string, pub *rsa.PublicKey, notBefore, notAfter time.Time) (*Certificate, error) {
-	return a.RenewKey(subject, cryptoutil.NewRSAPublicKey(pub), notBefore, notAfter)
 }
 
 func (a *Authority) issueLocked(subject string, der []byte, notBefore, notAfter time.Time) (*Certificate, error) {
@@ -276,13 +249,6 @@ func VerifyCertificateWith(caKey cryptoutil.PublicKey, cert *Certificate, now ti
 		return fmt.Errorf("%w: serial %d", ErrRevoked, cert.Serial)
 	}
 	return nil
-}
-
-// VerifyCertificate is VerifyCertificateWith for a raw RSA CA key.
-//
-// Deprecated: use VerifyCertificateWith with a scheme handle.
-func VerifyCertificate(caKey *rsa.PublicKey, cert *Certificate, now time.Time, revoked func(serial uint64, now time.Time) bool) error {
-	return VerifyCertificateWith(cryptoutil.NewRSAPublicKey(caKey), cert, now, revoked)
 }
 
 // Identity bundles everything one protocol party holds: its name, key

@@ -83,7 +83,7 @@ func TestFairnessKeyWithheldUntilDeposit(t *testing.T) {
 	key, _ := cryptoutil.NewSymmetricKey()
 	c, _ := cryptoutil.SymmetricEncrypt(key, []byte("secret M"))
 	hashC := cryptoutil.Sum(cryptoutil.SHA256, c)
-	nro, err := cryptoutil.Sign(cryptoutil.InsecureTestKey(71), signBytes(flagNRO, "L-3", hashC.Sum))
+	nro, err := cryptoutil.InsecureTestKey(71).Signer().Sign(signBytes(flagNRO, "L-3", hashC.Sum))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestForgedNRORejected(t *testing.T) {
 	c, _ := cryptoutil.SymmetricEncrypt(key, []byte("m"))
 	hashC := cryptoutil.Sum(cryptoutil.SHA256, c)
 	// Signed by mallory (slot 74), claimed to be from alice.
-	forged, err := cryptoutil.Sign(cryptoutil.InsecureTestKey(74), signBytes(flagNRO, "L-4", hashC.Sum))
+	forged, err := cryptoutil.InsecureTestKey(74).Signer().Sign(signBytes(flagNRO, "L-4", hashC.Sum))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestForgedNRORejected(t *testing.T) {
 func TestForgedSubKRejected(t *testing.T) {
 	e := newEnv(t)
 	key, _ := cryptoutil.NewSymmetricKey()
-	forged, err := cryptoutil.Sign(cryptoutil.InsecureTestKey(74), signBytes(flagSUB, "L-5", key))
+	forged, err := cryptoutil.InsecureTestKey(74).Signer().Sign(signBytes(flagSUB, "L-5", key))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,11 +145,11 @@ func TestConKVerifiableByThirdParty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pub, err := cert.PublicKey()
+	pub, err := cert.Key()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cryptoutil.Verify(pub, signBytes(flagCON, "L-6", res.Key), res.ConK); err != nil {
+	if err := pub.Verify(signBytes(flagCON, "L-6", res.Key), res.ConK); err != nil {
 		t.Fatalf("con_K does not verify: %v", err)
 	}
 }

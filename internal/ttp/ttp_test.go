@@ -36,7 +36,7 @@ func rawParty(t *testing.T, d *deploy.Deployment, name string, keySlot int) *cor
 	}
 	p, err := core.NewTTPParty(
 		core.WithIdentity(id),
-		core.WithCAKey(d.CA.PublicKey()),
+		core.WithCAPublicKey(d.CA.Key()),
 		core.WithDirectory(core.Directory(d.CA.Lookup)),
 	)
 	if err != nil {
@@ -49,14 +49,14 @@ func rawParty(t *testing.T, d *deploy.Deployment, name string, keySlot int) *cor
 // TTP, embedding the given payload bytes.
 func buildResolve(t *testing.T, d *deploy.Deployment, p *core.TTPParty, txn string, payload []byte) []byte {
 	t.Helper()
-	ttpKey, err := p.PeerKey(deploy.TTPName)
+	ttpKey, err := p.PeerPublicKey(deploy.TTPName)
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := p.NewHeader(evidence.KindResolveRequest, txn, deploy.TTPName, deploy.TTPName, p.NextSeq(txn))
 	h.Note = "test anomaly report"
 	h.SetDigests(nil)
-	msg, _, err := p.BuildMessage(h, payload, ttpKey)
+	msg, _, err := p.BuildMessageFor(h, payload, ttpKey)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,13 +84,13 @@ func decodeStatement(t *testing.T, p *core.TTPParty, raw []byte) *evidence.Heade
 // given transaction and recipient.
 func ownEvidence(t *testing.T, p *core.TTPParty, txn, recipient string) *evidence.Evidence {
 	t.Helper()
-	recipKey, err := p.PeerKey(recipient)
+	recipKey, err := p.PeerPublicKey(recipient)
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := p.NewHeader(evidence.KindNRO, txn, recipient, deploy.TTPName, p.NextSeq(txn))
 	h.SetDigests([]byte("claimed data"))
-	_, ev, err := p.BuildMessage(h, nil, recipKey)
+	_, ev, err := p.BuildMessageFor(h, nil, recipKey)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,13 +173,13 @@ func TestResolveUnreachablePeer(t *testing.T) {
 func TestWrongKindRejected(t *testing.T) {
 	d := newDeploy(t)
 	mallory := rawParty(t, d, "mallory7", 48)
-	ttpKey, err := mallory.PeerKey(deploy.TTPName)
+	ttpKey, err := mallory.PeerPublicKey(deploy.TTPName)
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := mallory.NewHeader(evidence.KindNRO, "txn-k", deploy.TTPName, deploy.TTPName, mallory.NextSeq("txn-k"))
 	h.SetDigests(nil)
-	msg, _, err := mallory.BuildMessage(h, nil, ttpKey)
+	msg, _, err := mallory.BuildMessageFor(h, nil, ttpKey)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestUnenrolledSenderDropped(t *testing.T) {
 	}
 	p, err := core.NewTTPParty(
 		core.WithIdentity(id),
-		core.WithCAKey(otherCA.PublicKey()),
+		core.WithCAPublicKey(otherCA.Key()),
 		core.WithDirectory(core.Directory(otherCA.Lookup)),
 	)
 	if err != nil {
