@@ -37,13 +37,18 @@ race:
 	$(GO) test -race ./...
 
 # race-core reruns, ten times each under the race detector, the tests
-# around the per-party evidence builder's memoized data-hash signature
-# (TestBuilder*, and the private-key budget that pins what it saves) and
-# the expiry reaper test, whose reaper starts ticking before the
-# deployment it reaps exists: a race in either shows in some runs, not
-# in every run, so one pass of `race` is not enough to catch it.
+# whose failures depend on goroutine timing: the per-party evidence
+# builder's memoized data-hash signature (TestBuilder*, and the
+# private-key budget that pins what it saves); the expiry reaper, which
+# starts ticking before the deployment it reaps exists; an upload whose
+# duplicated NRO is handled after the client already has its NRR; and
+# the replication stream — snapshot catch-up racing the idle probe,
+# follower restart, a stalled follower beside leader appends, two
+# connections applying to one follower, and the journal's batch read
+# under concurrent appends. A race in any of them shows in some runs,
+# not in every run, so one pass of `race` is not enough to catch it.
 race-core:
-	$(GO) test -race -count=10 -run 'TestServerExpiryReaper|TestBuilder|TestPrivateKeyBudget' ./internal/core ./internal/evidence ./internal/integration
+	$(GO) test -race -count=10 -run 'TestServerExpiryReaper|TestBuilder|TestPrivateKeyBudget|TestUploadOverDuplicatingLink|TestSnapshotCatchUp|TestFollower|TestStalledFollowerDoesNotBlockAppends|TestConcurrentServeConnSerialized|TestReadBatchFromLSN' ./internal/core ./internal/evidence ./internal/integration ./internal/replica ./internal/wal
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -555,12 +555,18 @@ func TestUploadOverDuplicatingLink(t *testing.T) {
 	if _, err := d.Client.Upload(context.Background(), dup, "txn-dup", "k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
+	// Upload returns on the first NRR; the provider may still be
+	// handling the duplicated NRO, so wait for it to be classified.
+	deadline := time.Now().Add(5 * time.Second)
+	for d.ProviderCounters.Get(metrics.ReplaysSeen) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("duplicate not counted as replay")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	mem := d.Store.(*storage.Mem)
 	if n, _ := mem.Versions("k"); n != 1 {
 		t.Fatalf("duplicate NRO created version %d", n)
-	}
-	if d.ProviderCounters.Get(metrics.ReplaysSeen) == 0 {
-		t.Error("duplicate not counted as replay")
 	}
 }
 

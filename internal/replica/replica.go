@@ -155,10 +155,18 @@ func (f *Follower) applyAppend(fr *frame) (uint64, error) {
 }
 
 // applySnapshot installs a leader checkpoint under f.mu and returns
-// the journal's resulting high-water mark.
+// the journal's resulting high-water mark. A snapshot at or below the
+// current mark is stale — the leader re-sent it before this follower's
+// ack of the first copy arrived — and is not installed: installing it
+// would truncate records past it that the leader has already counted
+// toward a quorum. The current mark is re-acked instead, exactly as for
+// a duplicate append.
 func (f *Follower) applySnapshot(fr *frame) (uint64, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if hw := f.w.LSN(); fr.LSN <= hw {
+		return hw, nil
+	}
 	if err := f.w.InstallSnapshot(fr.Payload, fr.LSN); err != nil {
 		return 0, fmt.Errorf("replica: installing snapshot at LSN %d: %w", fr.LSN, err)
 	}
@@ -171,7 +179,9 @@ func (f *Follower) applySnapshot(fr *frame) (uint64, error) {
 // order: a duplicate is re-acked, a gap is NOT applied (the current
 // mark is re-acked so the leader resends) — so the follower journal is
 // always a prefix of the leader's history and recovery over it is
-// byte-identical to recovering the leader at that point in time.
+// byte-identical to recovering the leader at that point in time. A
+// snapshot at or below the current mark is likewise re-acked, not
+// installed.
 func (f *Follower) ServeConn(conn transport.Conn) (err error) {
 	defer recoverCrash(&err)
 	hw := f.w.LSN()

@@ -255,6 +255,65 @@ func TestSnapshotCatchUp(t *testing.T) {
 	}
 }
 
+// TestFollowerIgnoresStaleSnapshot: a snapshot frame at or below the
+// follower's mark is a resend the follower has already moved past (the
+// leader's idle probe folded its send window back before the first
+// copy's ack arrived). Installing it would truncate records the leader
+// has already counted toward a quorum, so the follower must re-ack its
+// mark and keep them.
+func TestFollowerIgnoresStaleSnapshot(t *testing.T) {
+	leakcheck.At(t)
+	fw := openWAL(t, t.TempDir())
+	if err := fw.InstallSnapshot([]byte("snapshot-state"), 8); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"tail-9", "tail-10", "tail-11"}
+	for _, rec := range want {
+		if err := fw.Append([]byte(rec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	leader, remote := transport.Pipe(0)
+	served := make(chan error, 1)
+	go func() { served <- NewFollower(fw).ServeConn(remote) }()
+	defer func() {
+		leader.Close()
+		<-served
+	}()
+	recv := func(kind uint8) uint64 {
+		t.Helper()
+		raw, err := leader.Recv()
+		if err != nil {
+			t.Fatalf("recv: %v", err)
+		}
+		fr, err := decodeFrame(raw)
+		if err != nil || fr.Kind != kind {
+			t.Fatalf("frame %+v, %v; want kind %d", fr, err, kind)
+		}
+		return fr.LSN
+	}
+
+	if hw := recv(frHello); hw != 11 {
+		t.Fatalf("hello mark %d, want 11", hw)
+	}
+	if err := leader.Send(encodeFrame(&frame{Kind: frSnapshot, LSN: 8, Payload: []byte("snapshot-state")})); err != nil {
+		t.Fatal(err)
+	}
+	if hw := recv(frAck); hw != 11 {
+		t.Fatalf("stale snapshot acked %d, want the current mark 11", hw)
+	}
+	var tail []string
+	if err := fw.ReplayTail(func(rec []byte) error {
+		tail = append(tail, string(rec))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(tail) != fmt.Sprint(want) || fw.LSN() != 11 {
+		t.Fatalf("follower at LSN %d with tail %q, want LSN 11 with %q", fw.LSN(), tail, want)
+	}
+}
+
 // TestCrashFaultpointRecovery arms each replica faultpoint as a
 // repeating kill, checks the quorum outcome the fault implies, then
 // disarms and shows the anti-entropy loop converges the followers and

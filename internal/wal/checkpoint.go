@@ -173,7 +173,7 @@ func (w *WAL) Checkpoint(state []byte) (uint64, error) {
 	}
 	prev := w.ckpt
 	w.ckpt = ck
-	w.tailRecords = 0
+	w.index = w.index[:0]
 	walCheckpoints.Inc()
 	w.pruneCheckpoints(ck, prev)
 	if err := w.truncateCoveredLocked(ck.TailSeg); err != nil {
@@ -334,14 +334,14 @@ func (w *WAL) LSN() uint64 {
 	return w.lsn
 }
 
-// TailRecords reports how many intact records Open found in segments
-// the current snapshot does not cover — the replay work a recovery
-// pays after restoring the snapshot. Without a snapshot it equals
-// Records().
+// TailRecords reports how many records the current snapshot does not
+// cover — the replay work a recovery pays after restoring the snapshot,
+// and the length of the journal's offset index. Without a snapshot it
+// equals Records().
 func (w *WAL) TailRecords() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.tailRecords
+	return len(w.index)
 }
 
 // ReplayTail is Replay restricted to records the current snapshot does

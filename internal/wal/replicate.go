@@ -1,8 +1,12 @@
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
+	"os"
 	"time"
 )
 
@@ -13,30 +17,30 @@ import (
 // stream the tail.
 var ErrCompacted = errors.New("wal: requested records compacted into the checkpoint")
 
-// errStopReplay is the internal sentinel ReadBatchFromLSN uses to end
-// a replay walk once the batch is full; it never escapes the package.
-var errStopReplay = errors.New("wal: stop replay")
-
-// ReadBatchFromLSN copies up to max records with LSN strictly greater
-// than `after` out of the journal — oldest first, contiguous, so the
-// i-th record returned has LSN after+1+i — and reports whether more
-// records remain past the batch. It is the replication read path: a
-// leader streams a follower everything past the follower's durable
+// ReadBatchFromLSN copies up to max (≥ 0) records with LSN strictly
+// greater than `after` out of the journal — oldest first, contiguous,
+// so the i-th record returned has LSN after+1+i — and reports whether
+// more records remain past the batch. It is the replication read path:
+// a leader streams a follower everything past the follower's durable
 // high-water mark, and the same call serves live streaming, restart
 // catch-up and anti-entropy backfill — they differ only in how far
 // behind `after` is.
+//
+// The read costs O(batch), not O(tail): the journal's offset index
+// names each live record's segment, offset and length, so the batch is
+// located by arithmetic and read with one ReadAt per segment it
+// touches. Each record's length and CRC are checked again on the way
+// out (ErrCorrupt if the disk changed under the journal), and the
+// records are capped sub-slices of one fresh buffer, aliasing nothing
+// the journal keeps. Records written but not yet durable (SyncBatch,
+// SyncGroup) are flushed first, so a follower never acks a record the
+// leader could still lose.
 //
 // The copies are taken under one lock acquisition and the lock is
 // released before the caller touches them: this is the replication
 // send path, and network writes must never happen under the journal
 // lock (a stalled follower connection would otherwise block every
-// concurrent Append). Pinning the checkpoint boundary and walking the
-// segments under the same acquisition also means a concurrent
-// Checkpoint cannot shift the LSN counting mid-read; LSNs are assigned
-// positionally — the first live record has LSN base+1 where base is
-// the checkpoint LSN (0 without a snapshot), valid because Checkpoint
-// rotates segments so the snapshot boundary is always a segment
-// boundary.
+// concurrent Append).
 //
 // When `after` precedes the checkpoint boundary the requested records
 // no longer exist as records and ErrCompacted is returned; the caller
@@ -45,32 +49,115 @@ var errStopReplay = errors.New("wal: stop replay")
 func (w *WAL) ReadBatchFromLSN(after uint64, max int) (recs [][]byte, more bool, err error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	base := uint64(0)
-	minSeg := 0
-	if w.ckpt != nil {
-		base = w.ckpt.LSN
-		minSeg = w.ckpt.TailSeg
+	if w.closed {
+		return nil, false, ErrClosed
 	}
+	if err := w.syncForReadLocked(); err != nil {
+		return nil, false, err
+	}
+	base := w.lsn - uint64(len(w.index))
 	if after < base {
 		return nil, false, fmt.Errorf("%w: tail starts after LSN %d, requested after %d", ErrCompacted, base, after)
 	}
-	lsn := base
-	err = w.replayLocked(minSeg, func(rec []byte) error {
-		lsn++
-		if lsn <= after {
-			return nil
-		}
-		if len(recs) >= max {
-			more = true
-			return errStopReplay
-		}
-		recs = append(recs, append([]byte(nil), rec...))
-		return nil
-	})
-	if err != nil && !errors.Is(err, errStopReplay) {
+	if after >= w.lsn {
+		return nil, false, nil
+	}
+	slots := w.index[after-base:]
+	if len(slots) > max {
+		slots, more = slots[:max], true
+	}
+	if recs, err = w.readSlotsLocked(slots); err != nil {
 		return nil, false, err
 	}
 	return recs, more, nil
+}
+
+// syncForReadLocked makes every record written so far durable before a
+// read ships it to a follower, whose ack must carry the same promise
+// as the leader's own append. Under SyncAlways every written record is
+// already synced, so it issues no fsync; under SyncBatch and SyncGroup
+// it flushes through fsyncLocked, so the flush is counted. SyncNever
+// ships what the OS has. Callers hold w.mu; it is released while an
+// in-flight group fsync finishes.
+func (w *WAL) syncForReadLocked() error {
+	if w.opt.Policy == SyncNever || w.appendSeq == w.syncedSeq {
+		return nil
+	}
+	w.waitFlush()
+	switch {
+	case w.closed:
+		return ErrClosed
+	case w.ioErr != nil:
+		return w.ioErr
+	case w.syncErr != nil:
+		return w.syncErr
+	case w.appendSeq > w.syncedSeq:
+		if err := w.fsyncLocked(); err != nil {
+			return fmt.Errorf("wal: fsync before read: %w", err)
+		}
+	}
+	return nil
+}
+
+// readSlotsLocked reads the records slots locate (consecutive LSNs)
+// into one buffer, with one ReadAt per segment they touch — a
+// segment's records sit back to back on disk — and verifies each
+// header against its slot and each payload against its CRC. Callers
+// hold w.mu.
+func (w *WAL) readSlotsLocked(slots []recSlot) ([][]byte, error) {
+	if len(slots) == 0 {
+		return nil, nil
+	}
+	size := 0
+	for _, s := range slots {
+		size += recHeaderLen + int(s.n)
+	}
+	buf := make([]byte, size)
+	recs := make([][]byte, len(slots))
+	p := 0
+	for i := 0; i < len(slots); {
+		j, end := i, p
+		for ; j < len(slots) && slots[j].seg == slots[i].seg; j++ {
+			end += recHeaderLen + int(slots[j].n)
+		}
+		if err := w.readSegmentAt(int(slots[i].seg), buf[p:end], slots[i].off); err != nil {
+			return nil, err
+		}
+		for ; i < j; i++ {
+			s := slots[i]
+			body := p + recHeaderLen
+			next := body + int(s.n)
+			rec := buf[body:next:next]
+			if binary.BigEndian.Uint32(buf[p:]) != s.n || crc32.ChecksumIEEE(rec) != binary.BigEndian.Uint32(buf[p+4:]) {
+				return nil, fmt.Errorf("%w: %s: record at offset %d changed on disk", ErrCorrupt, segName(int(s.seg)), s.off)
+			}
+			recs[i] = rec
+			p = next
+		}
+	}
+	return recs, nil
+}
+
+// readSegmentAt fills b from segment seg at offset off: the current
+// segment through the journal's open handle, an older one through a
+// handle opened for this read. Callers hold w.mu, so the current
+// segment cannot rotate or close underneath.
+func (w *WAL) readSegmentAt(seg int, b []byte, off int64) error {
+	f := w.f
+	if seg != w.segIndex {
+		var err error
+		if f, err = os.Open(w.segPath(seg)); err != nil {
+			return fmt.Errorf("wal: opening segment for read: %w", err)
+		}
+		defer f.Close()
+	}
+	if _, err := f.ReadAt(b, off); err != nil {
+		if errors.Is(err, io.EOF) {
+			return fmt.Errorf("%w: %s: short read at offset %d", ErrCorrupt, segName(seg), off)
+		}
+		return fmt.Errorf("wal: reading segment: %w", err)
+	}
+	return nil
 }
 
 // InstallSnapshot makes state the journal's checkpoint at the given
@@ -126,7 +213,7 @@ func (w *WAL) InstallSnapshot(state []byte, lsn uint64) error {
 	// truncation below removes them and the counters reset with them.
 	w.lsn = lsn
 	w.records = 0
-	w.tailRecords = 0
+	w.index = w.index[:0]
 	w.sinceSync = 0
 	walCheckpoints.Inc()
 	w.pruneCheckpoints(ck, prev)

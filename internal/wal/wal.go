@@ -146,13 +146,18 @@ type WAL struct {
 
 	// Checkpoint/compaction state. lsn numbers records since genesis —
 	// unlike records, it survives compaction, so a snapshot can say
-	// exactly which prefix of history it covers. tailRecords counts
-	// records the current snapshot does NOT cover; segBytes mirrors the
-	// size of each live segment for the process gauges.
-	lsn         uint64
-	tailRecords int
-	ckpt        *Checkpoint
-	segBytes    map[int]int64
+	// exactly which prefix of history it covers. index locates every
+	// record the current snapshot does NOT cover, oldest first: index[i]
+	// holds the record with LSN lsn-len(index)+1+i. Checkpoint and
+	// InstallSnapshot empty it, so it is bounded by the checkpoint cadence
+	// exactly as the live segments are; they keep its capacity, so a
+	// journal checkpointed at a steady cadence stops allocating for it
+	// after the first cycle. segBytes mirrors the size of each live
+	// segment for the process gauges.
+	lsn      uint64
+	index    []recSlot
+	ckpt     *Checkpoint
+	segBytes map[int]int64
 
 	// Group-commit state (SyncGroup only), guarded by mu. Appends are
 	// numbered; the leader fsyncs with mu RELEASED so followers keep
@@ -170,6 +175,14 @@ type WAL struct {
 	// (Replay) still work; Healthy surfaces the state so the provider
 	// can degrade instead of dying.
 	ioErr error
+}
+
+// recSlot is one index entry (16 bytes): the segment a live record sits
+// in, the offset of its header there, and its payload length.
+type recSlot struct {
+	off int64
+	seg uint32
+	n   uint32
 }
 
 // cond returns the group-commit condition variable, creating it on
@@ -233,18 +246,20 @@ func Open(dir string, opt Options) (*WAL, error) {
 	}
 	for i, idx := range segs {
 		last := i == len(segs)-1
-		n, end, err := scanSegment(w.segPath(idx), last)
+		b, err := os.ReadFile(w.segPath(idx))
+		if err != nil {
+			return nil, fmt.Errorf("wal: reading segment: %w", err)
+		}
+		end, err := scanSegment(b, idx, last, func(off int64, rec []byte) error {
+			w.index = append(w.index, recSlot{off: off, seg: uint32(idx), n: uint32(len(rec))})
+			return nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		w.records += n
 		w.segBytes[idx] = end
 		if last {
-			fi, err := os.Stat(w.segPath(idx))
-			if err != nil {
-				return nil, fmt.Errorf("wal: stat segment: %w", err)
-			}
-			if end < fi.Size() {
+			if end < int64(len(b)) {
 				if err := os.Truncate(w.segPath(idx), end); err != nil {
 					return nil, fmt.Errorf("wal: truncating torn tail: %w", err)
 				}
@@ -264,7 +279,7 @@ func Open(dir string, opt Options) (*WAL, error) {
 	}
 	// After truncation every surviving record is snapshot tail; the LSN
 	// of the last record is the snapshot LSN plus the tail length.
-	w.tailRecords = w.records
+	w.records = len(w.index)
 	w.lsn += uint64(w.records)
 	walRecovered.Add(int64(w.records))
 	trackInstance(w)
@@ -289,8 +304,10 @@ func (w *WAL) segments() ([]int, error) {
 }
 
 func (w *WAL) segPath(idx int) string {
-	return filepath.Join(w.dir, fmt.Sprintf(segFmt, idx))
+	return filepath.Join(w.dir, segName(idx))
 }
+
+func segName(idx int) string { return fmt.Sprintf(segFmt, idx) }
 
 // newSegment creates segment idx with its header and makes it current.
 func (w *WAL) newSegment(idx int) error {
@@ -317,23 +334,19 @@ func (w *WAL) newSegment(idx int) error {
 	return nil
 }
 
-// scanSegment validates one segment, returning its intact record count
-// and the byte offset just past the last intact record. In the last
-// segment a damaged tail is reported via end < file size; anywhere else
-// it is ErrCorrupt. A last segment whose header itself is torn scans as
-// zero records ending at offset 0, so Open truncates it to empty and
-// rewrites nothing (the next append recreates the header path via the
-// existing file — handled by treating end 0 as "rewrite header").
-func scanSegment(path string, last bool) (n int, end int64, err error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return 0, 0, fmt.Errorf("wal: reading segment: %w", err)
-	}
+// scanSegment validates segment seg's bytes b, passing each intact
+// record to fn with the offset of its header (a non-nil fn error stops
+// the scan and is returned), and returns the offset just past the last
+// intact record. In the last segment a damaged tail is reported via
+// end < len(b); anywhere else it is ErrCorrupt. A last segment whose
+// header itself is torn scans as zero records ending at offset 0, so
+// Open truncates it to empty and the next append rewrites the header.
+func scanSegment(b []byte, seg int, last bool, fn func(off int64, rec []byte) error) (end int64, err error) {
 	if len(b) < len(segMagic) || string(b[:len(segMagic)]) != segMagic {
 		if last && len(b) < len(segMagic) {
-			return 0, 0, nil // torn during creation; truncated + rebuilt by Open
+			return 0, nil // torn during creation; truncated + rebuilt by Open
 		}
-		return 0, 0, fmt.Errorf("%w: %s: bad segment header", ErrCorrupt, filepath.Base(path))
+		return 0, fmt.Errorf("%w: %s: bad segment header", ErrCorrupt, segName(seg))
 	}
 	off := int64(len(segMagic))
 	for int64(len(b))-off >= recHeaderLen {
@@ -341,33 +354,36 @@ func scanSegment(path string, last bool) (n int, end int64, err error) {
 		crc := binary.BigEndian.Uint32(b[off+4:])
 		if length > MaxRecordSize {
 			if last {
-				return n, off, nil // garbage length: torn tail
+				return off, nil // garbage length: torn tail
 			}
-			return 0, 0, fmt.Errorf("%w: %s: record length %d at offset %d", ErrCorrupt, filepath.Base(path), length, off)
+			return 0, fmt.Errorf("%w: %s: record length %d at offset %d", ErrCorrupt, segName(seg), length, off)
 		}
 		body := off + recHeaderLen
-		if body+int64(length) > int64(len(b)) {
+		next := body + int64(length)
+		if next > int64(len(b)) {
 			if last {
-				return n, off, nil // short payload: torn tail
+				return off, nil // short payload: torn tail
 			}
-			return 0, 0, fmt.Errorf("%w: %s: short record at offset %d", ErrCorrupt, filepath.Base(path), off)
+			return 0, fmt.Errorf("%w: %s: short record at offset %d", ErrCorrupt, segName(seg), off)
 		}
-		if crc32.ChecksumIEEE(b[body:body+int64(length)]) != crc {
+		if crc32.ChecksumIEEE(b[body:next]) != crc {
 			if last {
-				return n, off, nil // checksum mismatch: torn tail
+				return off, nil // checksum mismatch: torn tail
 			}
-			return 0, 0, fmt.Errorf("%w: %s: checksum mismatch at offset %d", ErrCorrupt, filepath.Base(path), off)
+			return 0, fmt.Errorf("%w: %s: checksum mismatch at offset %d", ErrCorrupt, segName(seg), off)
 		}
-		off = body + int64(length)
-		n++
+		if err := fn(off, b[body:next:next]); err != nil {
+			return off, err
+		}
+		off = next
 	}
 	if off < int64(len(b)) {
 		if last {
-			return n, off, nil // trailing partial header: torn tail
+			return off, nil // trailing partial header: torn tail
 		}
-		return 0, 0, fmt.Errorf("%w: %s: trailing bytes at offset %d", ErrCorrupt, filepath.Base(path), off)
+		return 0, fmt.Errorf("%w: %s: trailing bytes at offset %d", ErrCorrupt, segName(seg), off)
 	}
-	return n, off, nil
+	return off, nil
 }
 
 // recBufPool recycles record-framing buffers: header + payload are
@@ -448,12 +464,12 @@ func (w *WAL) AppendLSN(payload []byte) (uint64, error) {
 		w.setErrLocked(err)
 		return 0, err
 	}
+	w.index = append(w.index, recSlot{off: w.segSize, seg: uint32(w.segIndex), n: uint32(len(payload))})
 	w.segSize += int64(len(buf))
 	w.segBytes[w.segIndex] = w.segSize
 	w.records++
 	w.lsn++
 	lsn := w.lsn
-	w.tailRecords++
 	w.sinceSync++
 	w.appendSeq++
 	walAppends.Inc()
@@ -573,18 +589,14 @@ func (w *WAL) replayFrom(minSeg int, fn func(rec []byte) error) error {
 	return w.replayLocked(minSeg, fn)
 }
 
-// replayLocked is replayFrom with w.mu already held — the LSN-ranged
-// read path must pin the checkpoint boundary and walk the segments
-// under ONE lock acquisition, or a concurrent Checkpoint could move
-// the boundary between the two and shift every counted LSN.
+// replayLocked is replayFrom with w.mu already held — ReplayTail must
+// pin the checkpoint boundary and walk the segments under ONE lock
+// acquisition, or a concurrent Checkpoint could truncate the segments
+// it is about to read. Each segment is read once, and its records are
+// checked and handed to fn from those same bytes.
 func (w *WAL) replayLocked(minSeg int, fn func(rec []byte) error) error {
 	if w.closed {
 		return ErrClosed
-	}
-	// Flush buffered appends so the read-back below sees them.
-	if w.f != nil && w.opt.Policy != SyncNever {
-		w.waitFlush()
-		w.f.Sync()
 	}
 	segs, err := w.segments()
 	if err != nil {
@@ -594,26 +606,14 @@ func (w *WAL) replayLocked(minSeg int, fn func(rec []byte) error) error {
 		if idx < minSeg {
 			continue
 		}
-		last := i == len(segs)-1
 		b, err := os.ReadFile(w.segPath(idx))
 		if err != nil {
 			return fmt.Errorf("wal: replay: %w", err)
 		}
-		_, end, err := scanSegment(w.segPath(idx), last)
-		if err != nil {
+		if _, err := scanSegment(b, idx, i == len(segs)-1, func(_ int64, rec []byte) error {
+			return fn(rec)
+		}); err != nil {
 			return err
-		}
-		off := int64(len(segMagic))
-		if end < off {
-			continue // empty torn segment
-		}
-		for off < end {
-			length := int64(binary.BigEndian.Uint32(b[off:]))
-			body := off + recHeaderLen
-			if err := fn(b[body : body+length : body+length]); err != nil {
-				return err
-			}
-			off = body + length
 		}
 	}
 	return nil
