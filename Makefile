@@ -22,7 +22,7 @@ TPNR_SHARDS ?=
 # Default 1 keeps journals unreplicated; chaos-replicated pins 3.
 TPNR_REPLICAS ?=
 
-.PHONY: build vet test race race-core bench bench-smoke bench-e17 bench-json bench-check chaos chaos-short chaos-sharded chaos-replicated obs-smoke verify
+.PHONY: build vet test race race-core fuzz-short bench bench-smoke bench-e17 bench-json bench-check chaos chaos-short chaos-sharded chaos-replicated obs-smoke verify
 
 build:
 	$(GO) build ./...
@@ -49,6 +49,13 @@ race:
 # not in every run, so one pass of `race` is not enough to catch it.
 race-core:
 	$(GO) test -race -count=10 -run 'TestServerExpiryReaper|TestBuilder|TestPrivateKeyBudget|TestUploadOverDuplicatingLink|TestSnapshotCatchUp|TestFollower|TestStalledFollowerDoesNotBlockAppends|TestConcurrentServeConnSerialized|TestReadBatchFromLSN' ./internal/core ./internal/evidence ./internal/integration ./internal/replica ./internal/wal
+
+# fuzz-short runs the native fuzz target of the frame decoder every
+# server applies to unauthenticated input, for ten seconds past its
+# committed seed corpus (internal/core/testdata/fuzz). A failing input
+# is written there; commit it with the fix.
+fuzz-short:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMessage$$' -fuzztime 10s ./internal/core
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -142,7 +149,7 @@ obs-smoke:
 # verify is the tier-1 gate: vet, compile everything, a quick chaos
 # pass, the full suite under the race detector (the concurrency tests
 # depend on it; race also reruns chaos with the full seed set), the
-# shared-state subset ten times over, a one-iteration benchmark smoke so
-# the benchmark suite cannot rot, and the E17 scoreboard's own vet +
-# smoke test.
-verify: vet build chaos-short race race-core bench-smoke bench-e17
+# shared-state subset ten times over, ten seconds of fuzzing the frame
+# decoder, a one-iteration benchmark smoke so the benchmark suite
+# cannot rot, and the E17 scoreboard's own vet + smoke test.
+verify: vet build chaos-short race race-core fuzz-short bench-smoke bench-e17

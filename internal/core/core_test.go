@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -434,15 +435,29 @@ func TestMessageEncodeDecode(t *testing.T) {
 // TestDecodeMessageErrorBounded: the leading string of a frame is
 // chosen by an unauthenticated peer, and the decode error ends up in
 // the server's event log — it must describe the junk, not carry it.
+// Nor may rejecting it cost a copy of it: the magic is compared in
+// place.
 func TestDecodeMessageErrorBounded(t *testing.T) {
 	e := wire.NewEncoder(1<<20 + 8)
 	e.String(string(bytes.Repeat([]byte{0xff}, 1<<20)))
-	_, err := core.DecodeMessage(e.Bytes())
+	frame := e.Bytes()
+	_, err := core.DecodeMessage(frame)
 	if err == nil {
 		t.Fatal("junk magic decoded")
 	}
 	if n := len(err.Error()); n >= 256 {
 		t.Fatalf("error for a 1 MiB junk magic is %d bytes, want < 256", n)
+	}
+
+	const rounds = 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		core.DecodeMessage(frame)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / rounds; per >= 64<<10 {
+		t.Fatalf("rejecting a 1 MiB junk magic allocates %d bytes, want < 64 KiB", per)
 	}
 }
 

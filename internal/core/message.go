@@ -39,7 +39,8 @@ type Message struct {
 	// traveled.
 	HeaderBytes []byte
 	// Payload carries object data on upload (NRO) and download
-	// response messages; empty otherwise.
+	// response messages; empty otherwise. In a decoded message it
+	// aliases the frame (see DecodeMessage).
 	Payload []byte
 	// Sealed is the evidence ciphertext, encrypted for the recipient.
 	Sealed []byte
@@ -63,26 +64,33 @@ func (m *Message) Encode() []byte {
 // DecodeMessage reverses Encode. Unsigned control frames (overload
 // sheds) decode to their typed error so every receive site classifies
 // them without caring about framing.
+//
+// Payload is a view into b, not a copy (nil when empty); its capacity
+// ends where it does, so an append to it cannot overwrite b. It is
+// valid only as long as b is: a core.Handler must not keep it past its
+// return, because Server recycles the inbound frame then. HeaderBytes
+// and Sealed are copies — they are small, and the evidence built from
+// them is journaled, cached and archived long after the frame is gone.
 func DecodeMessage(b []byte) (*Message, error) {
 	d := wire.NewDecoder(b)
-	if magic := d.String(); magic != "tpnr-msg-v1" {
-		if magic == ctlMagic {
+	// The magic is whatever an unauthenticated peer sent, up to
+	// wire.MaxFrameSize of it: compare it in place, and report only its
+	// length and a short prefix.
+	if magic := d.View32(); string(magic) != "tpnr-msg-v1" {
+		if string(magic) == ctlMagic {
 			return nil, decodeControlErr(d)
 		}
-		// The magic is whatever an unauthenticated peer sent, up to
-		// wire.MaxFrameSize of it: report its length and a short prefix,
-		// never the whole string.
 		head := magic
 		if len(head) > 16 {
 			head = head[:16]
 		}
 		return nil, fmt.Errorf("core: bad message magic (%d bytes, starts %q)", len(magic), head)
 	}
-	m := &Message{
-		HeaderBytes: d.Bytes32(),
-		Payload:     d.Bytes32(),
-		Sealed:      d.Bytes32(),
+	m := &Message{HeaderBytes: d.Bytes32()}
+	if p := d.View32(); len(p) > 0 {
+		m.Payload = p[:len(p):len(p)]
 	}
+	m.Sealed = d.Bytes32()
 	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("core: decoding message: %w", err)
 	}

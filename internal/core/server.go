@@ -19,7 +19,9 @@ import (
 // Handler processes one encoded protocol message and returns the
 // encoded reply (nil for deliberate silence) plus the handling error.
 // Provider and the ttp package's Server both satisfy it, so one
-// Server implementation fronts every daemon in the system.
+// Server implementation fronts every daemon in the system. Server
+// recycles raw once Handle returns: a handler must not keep raw, or the
+// Payload that DecodeMessage views inside it, past its return.
 type Handler interface {
 	Handle(raw []byte) ([]byte, error)
 }
@@ -296,8 +298,9 @@ func (s *Server) serveConn(ctx context.Context, conn transport.Conn) {
 			// silence) is unchanged.
 			s.recordHandlerError(err)
 		}
-		// The handler decoded (copied) what it needed; the inbound
-		// buffer can go back to the transport pool.
+		// The inbound buffer goes back to the transport pool. The
+		// decoded Message.Payload aliases it, so a handler must not keep
+		// the payload past its return (see DecodeMessage).
 		transport.Recycle(raw)
 		if reply != nil {
 			if err := conn.Send(reply); err != nil {

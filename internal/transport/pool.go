@@ -3,7 +3,7 @@ package transport
 import "sync"
 
 // Message buffers are pooled by size class so the per-message copy in
-// the in-memory pipe and the frame assembly in the TCP transport reuse
+// the in-memory pipe and the frame bodies the TCP transport reads reuse
 // memory instead of allocating per message.
 //
 // Ownership rules (see Conn for the caller-facing contract):

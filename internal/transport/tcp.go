@@ -2,6 +2,7 @@ package transport
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -13,8 +14,13 @@ import (
 // tcpConn adapts a net.Conn to the message-oriented Conn interface
 // using wire framing.
 type tcpConn struct {
-	nc      net.Conn
-	sendMu  sync.Mutex
+	nc     net.Conn
+	sendMu sync.Mutex
+	// hdr, vec and iov are Send's scratch, guarded by sendMu. Kept in
+	// the conn so that a send allocates nothing.
+	hdr     [4]byte
+	vec     [2][]byte
+	iov     net.Buffers
 	recvMu  sync.Mutex
 	closeMu sync.Once
 }
@@ -22,25 +28,33 @@ type tcpConn struct {
 // WrapNetConn frames an arbitrary net.Conn as a message Conn.
 func WrapNetConn(nc net.Conn) Conn { return &tcpConn{nc: nc} }
 
-// Send assembles header+body into one pooled buffer and issues a
-// single write — one syscall (and one TCP segment boundary decision)
-// per message instead of two, with no per-message allocation.
+// Send writes the length prefix and msg with one vectored write
+// (writev on a TCP socket; conns without it get the two parts in
+// order): one syscall per message, and the body goes to the kernel
+// from the caller's slice, never copied into a frame buffer.
 func (c *tcpConn) Send(msg []byte) error {
+	if len(msg) > wire.MaxFrameSize {
+		return fmt.Errorf("%w: %d bytes", wire.ErrFrameTooLarge, len(msg))
+	}
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
-	buf := grab(4 + len(msg))
-	frame, err := wire.AppendFrame(buf[:0], msg)
-	if err != nil {
-		Recycle(buf)
-		return err
+	binary.BigEndian.PutUint32(c.hdr[:], uint32(len(msg)))
+	c.vec = [2][]byte{c.hdr[:], msg}
+	c.iov = c.vec[:]
+	if len(msg) == 0 {
+		// A zero-length write is not a no-op on every conn: net.Pipe
+		// blocks it until the peer's next Read.
+		c.iov = c.vec[:1]
 	}
-	n, err := c.nc.Write(frame)
-	Recycle(frame)
+	n, err := c.iov.WriteTo(c.nc)
+	// WriteTo drops what it wrote from iov; clear the rest so the conn
+	// does not keep msg reachable once Send returns.
+	c.vec = [2][]byte{}
 	if err != nil {
 		return fmt.Errorf("wire: writing frame: %w", err)
 	}
 	obsFramesSent.Inc()
-	obsBytesSent.Add(int64(n))
+	obsBytesSent.Add(n)
 	return nil
 }
 

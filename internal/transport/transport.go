@@ -28,17 +28,18 @@ var ErrClosed = errors.New("transport: connection closed")
 // concurrent receiver.
 //
 // Buffer ownership:
-//   - Send never retains msg past its return: the bytes are copied (or
-//     fully written) before Send comes back, so the caller keeps
-//     ownership and may immediately reuse or recycle the slice.
+//   - Send never retains msg past its return: the pipe copies it, the
+//     TCP transport writes it to the socket from the caller's slice,
+//     so the caller keeps ownership and may immediately reuse or
+//     recycle the slice.
 //   - Recv transfers ownership of the returned slice to the caller. It
 //     stays valid indefinitely; a caller that is done with it MAY hand
 //     it to Recycle to return it to the shared buffer pool (that is
 //     optional — unrecycled buffers are ordinary garbage — but the
 //     slice must not be used after recycling).
 type Conn interface {
-	// Send transmits one message. The message is copied before Send
-	// returns; the caller may reuse the slice.
+	// Send transmits one message. Send is done with the slice when it
+	// returns; the caller may reuse it.
 	Send(msg []byte) error
 	// Recv blocks until a message arrives or the connection closes, in
 	// which case it returns ErrClosed (or the underlying error). The
