@@ -22,7 +22,7 @@ TPNR_SHARDS ?=
 # Default 1 keeps journals unreplicated; chaos-replicated pins 3.
 TPNR_REPLICAS ?=
 
-.PHONY: build vet test race race-core fuzz-short bench bench-smoke bench-e17 bench-json bench-check chaos chaos-short chaos-sharded chaos-replicated obs-smoke verify
+.PHONY: build vet test race race-core fuzz-short bench bench-smoke bench-e17 chaos chaos-short chaos-sharded chaos-replicated obs-smoke verify
 
 build:
 	$(GO) build ./...
@@ -50,12 +50,15 @@ race:
 race-core:
 	$(GO) test -race -count=10 -run 'TestServerExpiryReaper|TestBuilder|TestPrivateKeyBudget|TestUploadOverDuplicatingLink|TestSnapshotCatchUp|TestFollower|TestStalledFollowerDoesNotBlockAppends|TestConcurrentServeConnSerialized|TestReadBatchFromLSN' ./internal/core ./internal/evidence ./internal/integration ./internal/replica ./internal/wal
 
-# fuzz-short runs the native fuzz target of the frame decoder every
-# server applies to unauthenticated input, for ten seconds past its
-# committed seed corpus (internal/core/testdata/fuzz). A failing input
-# is written there; commit it with the fix.
+# fuzz-short runs, for ten seconds each past their committed seed
+# corpora (testdata/fuzz in each package), the native fuzz targets of
+# the two decoders that read unauthenticated network input: the
+# protocol frame every server decodes (FuzzDecodeMessage) and the
+# replication frame a follower decodes (FuzzDecodeFrame). A failing
+# input is written to the corpus; commit it with the fix.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMessage$$' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 10s ./internal/replica
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -71,39 +74,6 @@ bench-smoke:
 # benchmark with tier-1 still green unless this target rides verify.
 bench-e17:
 	$(GO) vet -C bench . && $(GO) test -C bench .
-
-# bench-json runs the hot-path families (E11 + transport pipe, E12
-# crypto API, E13 recovery, E14 sharding, E15 storage-dwell audit,
-# E16 journal replication) and
-# writes BENCH_PR8.json
-# with the raw numbers, the acceptance ratios, and the environment
-# (GOMAXPROCS matters: the parallel hash paths fall back to serial on
-# one core, and the sharded speedups scale with cores/fsync streams).
-# 2s per benchmark: the E14 sharded-upload family measures fsync
-# streams on a (possibly virtual) disk, and 1s runs are visibly noisy
-# there.
-bench-json:
-	$(GO) run ./cmd/benchreport -o BENCH_PR8.json -benchtime 2s
-
-# bench-check re-measures the hot-path families and gates them two
-# ways. The real teeth are the within-run ratio bounds: group commit,
-# verify cache, snapshot recovery, Ed25519 open and the aggregate
-# receipt must keep their structural speedups, and the pooled
-# transport pipe must stay at 0 allocs/op. Both sides of each ratio
-# are measured in the same run, so host drift (CPU steal, virtual-disk
-# fsync latency) cancels out — these floors hold on any hardware.
-# The cross-run ns/op comparison against the committed BENCH_PR8.json
-# is kept only as a catastrophic bound (-max-regress 0.50): measured
-# run-to-run variance on shared virtualized hosts reaches ~1.5x for
-# CPU-bound and ~2.5x for fsync-bound families with identical code, so
-# a tight cross-run budget just gates the weather. The fsync-bound
-# E11 WAL-append and E14 sharded families are advisory there
-# (-regress-skip) — environment, not code.
-bench-check:
-	$(GO) run ./cmd/benchreport -o /tmp/bench_check.json -baseline BENCH_PR8.json -max-regress 0.50 -benchtime 2s \
-		-regress-skip '^BenchmarkE14Sharded|^BenchmarkE11WALAppend' \
-		-ratio-min 'wal_group_vs_always_16appenders=2,verify_cache_speedup=5,recovery_snapshot_speedup_10k=5,aggregate_receipt_speedup_k64=10,ed25519_cold_open_speedup=3,audit_vs_download_speedup_n4=1.5' \
-		-ratio-max 'transport_pipe_allocs_per_op=0,replication_quorum_overhead_r3=5'
 
 # chaos runs the crash-fault injection suite: every registered
 # faultpoint plus the randomized crash-restart rounds, always under
@@ -149,7 +119,8 @@ obs-smoke:
 # verify is the tier-1 gate: vet, compile everything, a quick chaos
 # pass, the full suite under the race detector (the concurrency tests
 # depend on it; race also reruns chaos with the full seed set), the
-# shared-state subset ten times over, ten seconds of fuzzing the frame
-# decoder, a one-iteration benchmark smoke so the benchmark suite
-# cannot rot, and the E17 scoreboard's own vet + smoke test.
+# shared-state subset ten times over, ten seconds of fuzzing each of
+# the two network frame decoders, a one-iteration benchmark smoke so
+# the benchmark suite cannot rot, and the E17 scoreboard's own vet +
+# smoke test.
 verify: vet build chaos-short race race-core fuzz-short bench-smoke bench-e17

@@ -1,19 +1,18 @@
-// Package repro holds the top-level benchmark harness: one benchmark
-// family per experiment in DESIGN.md's E1–E11 index. Run with
+// Package repro holds the paper's experiment micro-benchmarks
+// (DESIGN.md §4) and the few layer benchmarks that pin something the
+// E17 scoreboard under bench/ cannot see. Run with
 //
 //	go test -bench=. -benchmem
 //
 // The absolute numbers are machine-dependent; the SHAPES the paper
 // commits to (TPNR's two-message normal mode beating the traditional
-// four-step baseline, fixed crypto cost amortizing with payload size,
-// platform checks being cheap but blind) are asserted by the test
-// suites and visible here as relative magnitudes.
+// four-step baseline, platform checks being cheap but blind) are
+// asserted by the test suites and visible here as relative magnitudes.
 package repro
 
 import (
 	"context"
 	"fmt"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -29,7 +28,6 @@ import (
 	"repro/internal/cryptoutil"
 	"repro/internal/deploy"
 	"repro/internal/evidence"
-	"repro/internal/merkle"
 	"repro/internal/metrics"
 	"repro/internal/pki"
 	"repro/internal/session"
@@ -406,56 +404,7 @@ func BenchmarkE9EvidenceOpenVerify(b *testing.B) {
 	}
 }
 
-// --- E10: overhead sweep and primitives --------------------------------------
-
-func BenchmarkE10TPNRUpload(b *testing.B) {
-	for _, size := range []int{1 << 10, 64 << 10, 1 << 20} {
-		b.Run(fmt.Sprintf("size=%dKiB", size>>10), func(b *testing.B) {
-			benchTPNRUpload(b, size)
-		})
-	}
-}
-
-func BenchmarkE10RawStorePut(b *testing.B) {
-	for _, size := range []int{1 << 10, 64 << 10, 1 << 20} {
-		b.Run(fmt.Sprintf("size=%dKiB", size>>10), func(b *testing.B) {
-			s := storage.NewMem(nil)
-			data := make([]byte, size)
-			b.SetBytes(int64(size))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.Put("k", data, cryptoutil.Digest{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkE10HashMD5(b *testing.B)    { benchHash(b, cryptoutil.MD5) }
-func BenchmarkE10HashSHA256(b *testing.B) { benchHash(b, cryptoutil.SHA256) }
-
-func benchHash(b *testing.B, alg cryptoutil.HashAlg) {
-	data := make([]byte, 1<<20)
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		cryptoutil.Sum(alg, data)
-	}
-}
-
-func BenchmarkE10EvidenceBuild(b *testing.B) {
-	alice := cryptoutil.InsecureTestKey(121)
-	bob := cryptoutil.InsecureTestKey(122)
-	h := &evidence.Header{Kind: evidence.KindNRO, TxnID: "t", SenderID: "alice", RecipientID: "bob"}
-	h.SetDigests(make([]byte, 4096))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := evidence.BuildFor(alice.Signer(), bob.Signer().Public(), h); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// --- E10: primitives E17 does not exercise ------------------------------------
 
 func BenchmarkE10SKSSplitReconstruct(b *testing.B) {
 	secret := make([]byte, 16) // an MD5 value
@@ -496,50 +445,7 @@ func BenchmarkE10TransportPipe(b *testing.B) {
 	}
 }
 
-// --- Extension features: Merkle chunking, audit log, chunked objects ---
-
-func BenchmarkXMerkleTree(b *testing.B) {
-	for _, chunks := range []int{16, 256, 4096} {
-		b.Run(fmt.Sprintf("chunks=%d", chunks), func(b *testing.B) {
-			data := make([][]byte, chunks)
-			for i := range data {
-				data[i] = make([]byte, 4096)
-				data[i][0] = byte(i)
-			}
-			b.SetBytes(int64(chunks) * 4096)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := merkle.New(data); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkXMerkleProveVerify(b *testing.B) {
-	data := make([][]byte, 1024)
-	for i := range data {
-		data[i] = make([]byte, 1024)
-		data[i][0] = byte(i)
-	}
-	tr, err := merkle.New(data)
-	if err != nil {
-		b.Fatal(err)
-	}
-	root := tr.Root()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		idx := i % len(data)
-		p, err := tr.Prove(idx)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := p.Verify(root, data[idx]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// --- Extension features: audit log, chunked objects ------------------------
 
 func BenchmarkXAuditAppend(b *testing.B) {
 	l := auditlog.New(nil)
@@ -578,26 +484,6 @@ func BenchmarkXBigObjectUpload(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		key := fmt.Sprintf("big/%d", i)
 		if _, err := bigobject.Upload(context.Background(), d.Client, conn, fmt.Sprintf("bx-%d", i), key, data, 16<<10); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE10EvidenceSignOnly ablates the paper's confidentiality
-// requirement: evidence WITHOUT the hybrid encryption (signatures
-// only). Compare with BenchmarkE10EvidenceBuild to see what
-// "encrypted with the recipient's public key" (§4.1) costs.
-func BenchmarkE10EvidenceSignOnly(b *testing.B) {
-	alice := cryptoutil.InsecureTestKey(121).Signer()
-	h := &evidence.Header{Kind: evidence.KindNRO, TxnID: "t", SenderID: "alice", RecipientID: "bob"}
-	h.SetDigests(make([]byte, 4096))
-	hdr := h.Encode()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := alice.Sign(hdr); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := alice.Sign(hdr[:64]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -728,13 +614,13 @@ func BenchmarkE10ConcurrentDownload(b *testing.B) {
 	}
 }
 
-// --- E11: hot-path throughput (PR 3) -----------------------------------------
+// --- E11: hot-path throughput ------------------------------------------------
 //
-// The four families below back EXPERIMENTS.md E11:
-// WAL group commit vs per-append fsync, multi-algorithm hashing,
-// Merkle tree construction after the streamed leaf hash, and the
-// evidence verification cache. cmd/benchreport runs them and computes
-// the acceptance ratios.
+// WAL group commit vs per-append fsync, and the evidence digest pair
+// hashed serially vs on two goroutines. Both depend on cores and disk
+// that the E17 scoreboard (bench/) does not vary; neither gates
+// anything. The group-commit guarantee itself is pinned by
+// TestGroupCommitConcurrent in internal/wal.
 
 // BenchmarkE11WALAppend measures journal append throughput under the
 // per-append-fsync policy (always) and group commit, at 1 and 16
@@ -808,74 +694,13 @@ func BenchmarkE11ParallelHash(b *testing.B) {
 	})
 }
 
-// BenchmarkE11MerkleBuild measures tree construction over a 16 MiB
-// object in 4 KiB chunks — the bigobject upload shape. The streamed
-// leaf hash (no per-leaf prefix+chunk copy) is the allocation win
-// visible against the pre-PR XMerkleTree numbers; level-parallel
-// construction engages when GOMAXPROCS allows.
-func BenchmarkE11MerkleBuild(b *testing.B) {
-	chunks := make([][]byte, 4096)
-	for i := range chunks {
-		chunks[i] = make([]byte, 4096)
-		chunks[i][0] = byte(i)
-	}
-	b.SetBytes(int64(len(chunks)) * 4096)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := merkle.New(chunks); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE11VerifyCache measures evidence signature verification
-// cold (two RSA verifies per call) vs warm (repeat verification of the
-// same evidence through the VerifyCache — two hash lookups). The warm
-// path is what the TTP resolve handler and the arbitrator hit when the
-// same evidence is resubmitted.
-func BenchmarkE11VerifyCache(b *testing.B) {
-	signer := cryptoutil.InsecureTestKey(123)
-	peer := cryptoutil.InsecureTestKey(124)
-	// Hot paths hold parsed key handles (the keystore World and the
-	// party peer cache), so the benchmark reuses one handle too —
-	// fingerprints memoize inside the handle.
-	signerPub := signer.Signer().Public()
-	h := &evidence.Header{Kind: evidence.KindNRO, TxnID: "t", SenderID: "alice", RecipientID: "bob"}
-	h.SetDigests(make([]byte, 4096))
-	ev, _, err := evidence.BuildFor(signer.Signer(), peer.Signer().Public(), h)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("cold", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := ev.VerifyWith(signerPub); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		c := evidence.NewVerifyCache(64)
-		if err := ev.VerifyCachedWith(signerPub, c); err != nil {
-			b.Fatal(err) // prime
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := ev.VerifyCachedWith(signerPub, c); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// --- E12: scheme-agnostic crypto, batch verification, aggregation ---
+// --- E12: scheme-agnostic crypto ----------------------------------------------
 
 // e12Keys returns one production-strength key pair per (scheme, slot):
 // DefaultRSABits RSA or Ed25519. The insecure cached test keys are
 // 1024-bit and would understate RSA's per-message private-key cost —
-// exactly the quantity the scheme comparison is about — so the E12
-// families generate real keys once and memoize them.
+// exactly the quantity the scheme comparison is about — so E12
+// generates real keys once and memoizes them.
 var (
 	e12KeyMu   sync.Mutex
 	e12KeyMemo = map[[2]int]cryptoutil.KeyPair{}
@@ -899,14 +724,14 @@ func e12Keys(b *testing.B, scheme cryptoutil.Scheme, slot int) cryptoutil.KeyPai
 
 // e12Evidence builds one sealed evidence item under the given scheme
 // and returns the pieces a receive-side benchmark needs.
-func e12Evidence(b *testing.B, scheme cryptoutil.Scheme, txn string) (sender, recipient cryptoutil.KeyPair, h *evidence.Header, ev *evidence.Evidence, sealed []byte) {
+func e12Evidence(b *testing.B, scheme cryptoutil.Scheme) (sender, recipient cryptoutil.KeyPair, h *evidence.Header, sealed []byte) {
 	b.Helper()
 	sender = e12Keys(b, scheme, 0)
 	recipient = e12Keys(b, scheme, 1)
-	h = &evidence.Header{Kind: evidence.KindNRO, TxnID: txn, SenderID: "alice", RecipientID: "bob"}
+	h = &evidence.Header{Kind: evidence.KindNRO, TxnID: "t", SenderID: "alice", RecipientID: "bob"}
 	h.SetDigests(make([]byte, 4096))
 	var err error
-	ev, sealed, err = evidence.BuildFor(sender.Signer(), recipient.Signer().Public(), h)
+	_, sealed, err = evidence.BuildFor(sender.Signer(), recipient.Signer().Public(), h)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -924,7 +749,7 @@ func BenchmarkE12EvidenceColdOpen(b *testing.B) {
 		scheme cryptoutil.Scheme
 	}{{"rsa", cryptoutil.SchemeRSA}, {"ed25519", cryptoutil.SchemeEd25519}} {
 		b.Run("scheme="+tc.name, func(b *testing.B) {
-			sender, recipient, h, _, sealed := e12Evidence(b, tc.scheme, "t")
+			sender, recipient, h, sealed := e12Evidence(b, tc.scheme)
 			b.ReportAllocs()
 			b.ResetTimer() // key generation runs once, outside the measurement
 			for i := 0; i < b.N; i++ {
@@ -935,203 +760,4 @@ func BenchmarkE12EvidenceColdOpen(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkE12AggregateReceipt prices settling a session of k uploads:
-// one signature over a Merkle root of the k evidence digests (plus one
-// verification on the other side) against k individual receipt
-// signatures and verifications. The signature count is the paper-level
-// claim; the wall clock shows what it buys.
-func BenchmarkE12AggregateReceipt(b *testing.B) {
-	const k = 64
-	signer := e12Keys(b, cryptoutil.SchemeRSA, 2)
-	pub := signer.Signer().Public()
-	txns := make([]string, k)
-	leaves := make([]cryptoutil.Digest, k)
-	for i := range txns {
-		txns[i] = fmt.Sprintf("txn-%d", i)
-		_, _, _, ev, _ := e12Evidence(b, cryptoutil.SchemeRSA, txns[i])
-		leaves[i] = evidence.LeafDigest(ev)
-	}
-	now := time.Now()
-	b.Run(fmt.Sprintf("mode=singles/k=%d", k), func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < k; j++ {
-				sig, err := signer.Signer().Sign(leaves[j].Sum)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := pub.Verify(leaves[j].Sum, sig); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run(fmt.Sprintf("mode=aggregate/k=%d", k), func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			r, _, err := evidence.BuildAggregateReceipt(signer.Signer(), "sess", "bob", txns, leaves, now)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := r.VerifySig(pub); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// --- E15: storage-dwell audit (DESIGN.md §14) --------------------------------
-
-// BenchmarkE15Audit compares the audit sub-protocol against the only
-// other way a client can verify the provider still holds its data:
-// re-downloading the object. mode=download runs a full download
-// session over the 1 MiB object; mode=challenge runs an n-leaf
-// challenge-response round — the provider returns n random 4 KiB
-// chunks with inclusion proofs against the Merkle root it committed
-// to in the NRR, and the client rehashes the chunks and verifies the
-// proofs and the response signature. The audit moves n chunks plus
-// O(n log m) hashes instead of the whole object, so it must win by a
-// growing margin as objects grow; cmd/benchreport pins the
-// audit_vs_download_speedup_n4 floor.
-func BenchmarkE15Audit(b *testing.B) {
-	d := newBenchDeploy(b)
-	conn, err := d.DialProvider()
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer conn.Close()
-	data := make([]byte, 1<<20)
-	for i := range data {
-		data[i] = byte(i)
-	}
-	if _, err := d.Client.Upload(context.Background(), conn, "bench-audit", "obj-audit", data); err != nil {
-		b.Fatal(err)
-	}
-
-	b.Run("mode=download", func(b *testing.B) {
-		b.SetBytes(int64(len(data)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			txn := fmt.Sprintf("bench-ad-%d", i)
-			if _, err := d.Client.Download(context.Background(), conn, txn, "obj-audit", "bench-audit"); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	for _, n := range []int{4, 16} {
-		b.Run(fmt.Sprintf("mode=challenge/n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				rep, err := d.Client.AuditObject(context.Background(), conn, "bench-audit", n)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(rep.Response.Entries) != n {
-					b.Fatalf("proved %d leaves, want %d", len(rep.Response.Entries), n)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkE15AuditArbitrate prices the off-line half of the audit
-// protocol: given an archived challenge and response, how fast can an
-// arbitrator (or any verifier) re-check the response against the
-// committed root? This is the cost of conviction — it runs once per
-// dispute, with no network and no data.
-func BenchmarkE15AuditArbitrate(b *testing.B) {
-	d := newBenchDeploy(b)
-	conn, err := d.DialProvider()
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer conn.Close()
-	data := make([]byte, 1<<20)
-	if _, err := d.Client.Upload(context.Background(), conn, "bench-arb", "obj-arb", data); err != nil {
-		b.Fatal(err)
-	}
-	rep, err := d.Client.AuditObject(context.Background(), conn, "bench-arb", 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	providerKey, err := d.CA.Lookup(deploy.ProviderName)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pub, err := providerKey.Key()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := rep.Response.Verify(pub, rep.Challenge, rep.Root); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- E16: quorum-replicated evidence journal (DESIGN.md §15) -----------------
-
-// BenchmarkE16Replication prices journal-on-quorum-before-ack: the
-// same journaled 64 KiB upload with the provider's evidence journal
-// unreplicated (mode=local — acks gate on the leader's own fsync, the
-// pre-PR-10 shape) versus quorum-replicated at R=3 / write quorum 2
-// (mode=quorum — every ack additionally waits for one of two
-// in-process follower journals to fsync the record). The follower
-// appends run in parallel with each other and overlap the protocol's
-// crypto, so the structural claim benchreport pins is an overhead
-// CEILING, not a speedup floor: surviving the loss of any single node
-// must cost less than replication_quorum_overhead_r3 per acked upload.
-func BenchmarkE16Replication(b *testing.B) {
-	run := func(b *testing.B, replicated bool) {
-		dir := b.TempDir()
-		pw, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { pw.Close() })
-		cfg := deploy.Config{
-			TestKeys:        true,
-			ResponseTimeout: 30 * time.Second,
-			ProviderOpts:    []core.Option{core.WithJournal(pw)},
-		}
-		if replicated {
-			cfg.ProviderReplicas = 3
-			cfg.ReplicaWAL = func(s, r int) (*wal.WAL, error) {
-				return wal.Open(filepath.Join(dir, fmt.Sprintf("replica-%02d", r)), wal.Options{})
-			}
-		}
-		d, err := deploy.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { d.Close() })
-		conn, err := d.DialProvider()
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer conn.Close()
-		data := make([]byte, 64<<10)
-		b.SetBytes(int64(len(data)))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			txn := fmt.Sprintf("bench-repl-%d", i)
-			if _, err := d.Client.Upload(context.Background(), conn, txn, "k"+txn, data); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		if replicated {
-			// The quorum needs one follower per append; report how far the
-			// slowest replica trails the leader when the run ends — the
-			// anti-entropy backlog the repair loop drains.
-			b.ReportMetric(float64(d.ReplicaGroups[0].Lag()), "lag-records")
-		}
-	}
-	b.Run("mode=local", func(b *testing.B) { run(b, false) })
-	b.Run("mode=quorum/r=3", func(b *testing.B) { run(b, true) })
 }

@@ -226,8 +226,8 @@ func (c *Challenge) Encode() []byte {
 // DecodeChallenge reverses Encode.
 func DecodeChallenge(b []byte) (*Challenge, error) {
 	d := wire.NewDecoder(b)
-	if magic := d.String(); d.Err() == nil && magic != challengeMagic {
-		return nil, fmt.Errorf("%w: bad challenge magic %q", ErrMalformed, magic)
+	if err := d.Magic(challengeMagic); err != nil {
+		return nil, fmt.Errorf("%w: challenge: %w", ErrMalformed, err)
 	}
 	c := &Challenge{}
 	c.TxnID = d.String()
@@ -326,8 +326,8 @@ func (r *Response) Encode() []byte {
 // DecodeResponse reverses Encode.
 func DecodeResponse(b []byte) (*Response, error) {
 	d := wire.NewDecoder(b)
-	if magic := d.String(); d.Err() == nil && magic != signedRespMagic {
-		return nil, fmt.Errorf("%w: bad response magic %q", ErrMalformed, magic)
+	if err := d.Magic(signedRespMagic); err != nil {
+		return nil, fmt.Errorf("%w: response: %w", ErrMalformed, err)
 	}
 	canonical := d.Bytes32()
 	sig := append([]byte(nil), d.Bytes32()...)
@@ -344,8 +344,8 @@ func DecodeResponse(b []byte) (*Response, error) {
 
 func decodeCanonical(b []byte) (*Response, error) {
 	d := wire.NewDecoder(b)
-	if magic := d.String(); d.Err() == nil && magic != responseMagic {
-		return nil, fmt.Errorf("%w: bad canonical magic %q", ErrMalformed, magic)
+	if err := d.Magic(responseMagic); err != nil {
+		return nil, fmt.Errorf("%w: canonical response: %w", ErrMalformed, err)
 	}
 	r := &Response{}
 	r.TxnID = d.String()

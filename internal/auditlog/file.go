@@ -38,8 +38,8 @@ func encodeEntry(e Entry) []byte {
 
 func decodeEntry(b []byte) (Entry, error) {
 	dec := wire.NewDecoder(b)
-	if magic := dec.String(); dec.Err() == nil && magic != fileEntryMagic {
-		return Entry{}, fmt.Errorf("auditlog: bad entry magic %q", magic)
+	if err := dec.Magic(fileEntryMagic); err != nil {
+		return Entry{}, fmt.Errorf("auditlog: bad entry: %w", err)
 	}
 	e := Entry{
 		Index:    dec.U64(),

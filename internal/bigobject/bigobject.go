@@ -72,8 +72,8 @@ func (m *Manifest) Encode() []byte {
 // (the leaves must hash to the recorded root).
 func DecodeManifest(b []byte) (*Manifest, error) {
 	d := wire.NewDecoder(b)
-	if magic := d.String(); magic != "tpnr-manifest-v1" {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrBadManifest, magic)
+	if err := d.Magic("tpnr-manifest-v1"); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadManifest, err)
 	}
 	m := &Manifest{}
 	m.ObjectKey = d.String()

@@ -290,8 +290,8 @@ func EncodeSignedRequest(r *SignedRequest) []byte {
 // DecodeSignedRequest reverses EncodeSignedRequest.
 func DecodeSignedRequest(b []byte) (*SignedRequest, error) {
 	d := wire.NewDecoder(b)
-	if magic := d.String(); magic != "sdc-request-v1" {
-		return nil, fmt.Errorf("gaesim: bad request magic %q", magic)
+	if err := d.Magic("sdc-request-v1"); err != nil {
+		return nil, fmt.Errorf("gaesim: bad request: %w", err)
 	}
 	r := &SignedRequest{
 		OwnerID:    d.String(),

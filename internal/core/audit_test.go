@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/evidence"
+	"repro/internal/transport"
 )
 
 // TestAuditSurvivesProcessRestart reproduces the nrclient CLI shape:
@@ -70,6 +72,61 @@ func TestAuditSurvivesProcessRestart(t *testing.T) {
 	// directory does), because the provider's replay guard is keyed by
 	// sender identity — two live processes sharing alice's keys without
 	// sharing her archive cannot both stay ahead of it.
+}
+
+// wireCounter counts the bytes a connection carries both ways.
+type wireCounter struct {
+	transport.Conn
+	n atomic.Int64
+}
+
+func (c *wireCounter) Send(msg []byte) error {
+	c.n.Add(int64(len(msg)))
+	return c.Conn.Send(msg)
+}
+
+func (c *wireCounter) Recv() ([]byte, error) {
+	msg, err := c.Conn.Recv()
+	c.n.Add(int64(len(msg)))
+	return msg, err
+}
+
+// TestAuditWireBytesVsDownload pins what the storage-dwell audit is
+// for: proving possession of a 1 MiB object with 4 challenged leaves
+// moves those chunks and their proofs, not the object. The audit's
+// bytes on the wire, both ways, must stay under an eighth of a
+// download's.
+func TestAuditWireBytesVsDownload(t *testing.T) {
+	ctx := context.Background()
+	d := newDeploy(t, 5*time.Second)
+	conn := &wireCounter{Conn: mustDial(t, d)}
+	data := make([]byte, 1<<20)
+	for i := range data {
+		data[i] = byte(i)
+	}
+	if _, err := d.Client.Upload(ctx, conn, "txn-wire-up", "docs/wire", data); err != nil {
+		t.Fatal(err)
+	}
+	measure := func(op func() error) int64 {
+		t.Helper()
+		before := conn.n.Load()
+		if err := op(); err != nil {
+			t.Fatal(err)
+		}
+		return conn.n.Load() - before
+	}
+	download := measure(func() error {
+		_, err := d.Client.Download(ctx, conn, "txn-wire-down", "docs/wire", "txn-wire-up")
+		return err
+	})
+	audit := measure(func() error {
+		_, err := d.Client.AuditObject(ctx, conn, "txn-wire-up", 4)
+		return err
+	})
+	t.Logf("download %d bytes, 4-leaf audit %d bytes", download, audit)
+	if audit*8 >= download {
+		t.Fatalf("a 4-leaf audit moved %d bytes, a download %d: want under an eighth", audit, download)
+	}
 }
 
 // TestPoolConcurrentCloseWithAuditLoop pins the stop-channel teardown:

@@ -227,8 +227,8 @@ func (p *party) encodeSnapshotLocked() ([]byte, int, error) {
 // second Recover call) changes nothing.
 func (p *party) restoreSnapshot(payload []byte, rep *RecoveryReport, seen map[string]bool) error {
 	d := wire.NewDecoder(payload)
-	if magic := d.String(); d.Err() == nil && magic != snapshotMagic {
-		return fmt.Errorf("core: unrecognised snapshot format %q", magic)
+	if err := d.Magic(snapshotMagic); err != nil {
+		return fmt.Errorf("core: unrecognised snapshot format: %w", err)
 	}
 	nLive := int(d.U32())
 	for i := 0; i < nLive && d.Err() == nil; i++ {

@@ -54,8 +54,8 @@ func (r *journalRecord) encode() []byte {
 
 func decodeJournalRecord(b []byte) (*journalRecord, error) {
 	d := wire.NewDecoder(b)
-	if magic := d.String(); magic != journalMagic {
-		return nil, fmt.Errorf("core: bad journal record magic %q", magic)
+	if err := d.Magic(journalMagic); err != nil {
+		return nil, fmt.Errorf("core: bad journal record: %w", err)
 	}
 	r := &journalRecord{}
 	r.Kind = d.U8()

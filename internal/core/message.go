@@ -73,18 +73,11 @@ func (m *Message) Encode() []byte {
 // them is journaled, cached and archived long after the frame is gone.
 func DecodeMessage(b []byte) (*Message, error) {
 	d := wire.NewDecoder(b)
-	// The magic is whatever an unauthenticated peer sent, up to
-	// wire.MaxFrameSize of it: compare it in place, and report only its
-	// length and a short prefix.
-	if magic := d.View32(); string(magic) != "tpnr-msg-v1" {
-		if string(magic) == ctlMagic {
-			return nil, decodeControlErr(d)
+	if err := d.Magic("tpnr-msg-v1"); err != nil {
+		if c := wire.NewDecoder(b); c.Magic(ctlMagic) == nil {
+			return nil, decodeControlErr(c)
 		}
-		head := magic
-		if len(head) > 16 {
-			head = head[:16]
-		}
-		return nil, fmt.Errorf("core: bad message magic (%d bytes, starts %q)", len(magic), head)
+		return nil, fmt.Errorf("core: bad message: %w", err)
 	}
 	m := &Message{HeaderBytes: d.Bytes32()}
 	if p := d.View32(); len(p) > 0 {

@@ -6,7 +6,6 @@ import (
 	"repro/internal/archive"
 	"repro/internal/clock"
 	"repro/internal/cryptoutil"
-	"repro/internal/evidence"
 	"repro/internal/metrics"
 	"repro/internal/pki"
 	"repro/internal/storage"
@@ -96,15 +95,6 @@ func WithArchive(s *archive.Store) Option {
 // WithJournal; without a journal the replicator is never consulted.
 func WithReplicator(r Replicator) Option {
 	return func(o *Options) { o.repl = r }
-}
-
-// WithVerifyCache shares a bounded evidence-verification cache across
-// parties (or sizes it differently from the default). Every party gets
-// a private cache when this option is absent; pass a common cache to
-// co-located daemons so the TTP's resolve path and the serving party
-// hit each other's verifications.
-func WithVerifyCache(c *evidence.VerifyCache) Option {
-	return func(o *Options) { o.verifyCache = c }
 }
 
 // buildOptions folds a variadic option list into one Options value.

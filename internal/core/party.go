@@ -118,9 +118,6 @@ type Options struct {
 	// cold is set by WithArchive: the append-only evidence archive that
 	// Checkpoint compacts terminal sessions into.
 	cold *archive.Store
-	// verifyCache is set by WithVerifyCache; nil means a private
-	// default-sized cache per party.
-	verifyCache *evidence.VerifyCache
 	// deadline is set by WithDeadlinePolicy; only the provider enforces
 	// it (step deadlines + expiry reaper).
 	deadline DeadlinePolicy
@@ -239,18 +236,15 @@ func newParty(o Options) (*party, error) {
 		tracker:  session.NewTracker(),
 		journal:  o.journal,
 		repl:     o.repl,
-		vcache:   o.verifyCache,
 		deadline: o.deadline,
 		cold:     o.cold,
 		archived: make(map[string]session.State),
 		seqs:     make(map[string]*session.Counter),
 		peers:    make(map[string]*peerEntry),
 		pumps:    make(map[transport.Conn]*pump),
-	}
-	if p.vcache == nil {
 		// Re-verifications cluster on resolve/dispute traffic; a modest
 		// bound keeps the win without letting the cache grow with load.
-		p.vcache = evidence.NewVerifyCache(defaultVerifyCacheSize)
+		vcache: evidence.NewVerifyCache(defaultVerifyCacheSize),
 	}
 	if p.clk == nil {
 		p.clk = clock.Real()

@@ -20,10 +20,6 @@ import (
 // context while connecting.
 type DialFunc func(ctx context.Context) (transport.Conn, error)
 
-// ShardDialFunc opens a connection toward a specific provider shard,
-// for deployments where shards answer on distinct endpoints.
-type ShardDialFunc func(ctx context.Context, shard int) (transport.Conn, error)
-
 // ErrRetriesExhausted reports that every transport-level retry of an
 // operation failed; it wraps nothing protocol-fatal, so Upload
 // escalates it to Resolve when a TTP dialer is configured.
@@ -66,22 +62,14 @@ type PoolOptions struct {
 	// computes its transaction's shard from the same pinned ring the
 	// server-side ShardedEngine routes by, BEFORE borrowing a
 	// connection, and pins the borrowed connection to that shard's idle
-	// list. With a single endpoint this keeps each shard's traffic on
-	// warmed connections of its own; with ShardDial it routes to
-	// per-shard endpoints outright.
+	// list, so each shard's traffic stays on warmed connections of its
+	// own.
 	ShardRing *shard.Ring
-	// ShardDial, when set (requires ShardRing), dials the specific
-	// shard an operation's transaction routes to instead of the pool's
-	// default dialer.
-	ShardDial ShardDialFunc
 	// AuditInterval, when positive, starts a background storage-dwell
 	// audit loop (DESIGN.md §14): every completed upload is challenged
 	// on this cadence, and each failure journals conviction-grade
 	// evidence in the client archive.
 	AuditInterval time.Duration
-	// AuditChallenges is how many random leaves each background audit
-	// challenges; <=0 means DefaultAuditChallenges.
-	AuditChallenges int
 }
 
 // PoolOption adjusts PoolOptions.
@@ -117,19 +105,10 @@ func PoolRegistry(r *obs.Registry) PoolOption { return func(o *PoolOptions) { o.
 // runs with.
 func PoolShardRing(r *shard.Ring) PoolOption { return func(o *PoolOptions) { o.ShardRing = r } }
 
-// PoolShardDial supplies a per-shard dialer (see PoolOptions.ShardDial).
-func PoolShardDial(d ShardDialFunc) PoolOption { return func(o *PoolOptions) { o.ShardDial = d } }
-
 // PoolAuditInterval starts the background storage-dwell audit loop on
 // the given cadence (see PoolOptions.AuditInterval).
 func PoolAuditInterval(d time.Duration) PoolOption {
 	return func(o *PoolOptions) { o.AuditInterval = d }
-}
-
-// PoolAuditChallenges sets how many leaves each background audit
-// challenges (see PoolOptions.AuditChallenges).
-func PoolAuditChallenges(n int) PoolOption {
-	return func(o *PoolOptions) { o.AuditChallenges = n }
 }
 
 // SessionPool multiplexes N concurrent TPNR protocol runs over a
@@ -523,7 +502,7 @@ func transientFault(err error) bool {
 }
 
 // acquire pops an idle connection from shard si's free list or dials a
-// new one (through the per-shard dialer when configured).
+// new one.
 func (p *SessionPool) acquire(ctx context.Context, si int) (transport.Conn, error) {
 	p.mu.Lock()
 	if p.closed {
@@ -539,9 +518,6 @@ func (p *SessionPool) acquire(ctx context.Context, si int) (transport.Conn, erro
 	}
 	p.mu.Unlock()
 	p.met.idleMisses.Inc()
-	if p.opt.ShardDial != nil {
-		return p.opt.ShardDial(ctx, si)
-	}
 	return p.dial(ctx)
 }
 

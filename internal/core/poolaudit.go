@@ -9,8 +9,8 @@ import (
 )
 
 // DefaultAuditChallenges is how many leaves a sweep challenges per
-// session when the caller does not say (a handful keeps audits cheap
-// while each sweep samples fresh random leaves).
+// session (a handful keeps audits cheap while each sweep samples fresh
+// random leaves).
 const DefaultAuditChallenges = 4
 
 // Background storage-dwell auditing for the session pool (DESIGN.md
@@ -113,10 +113,6 @@ func (p *SessionPool) startAuditLoop() {
 // already counted and journaled by AuditObject; the sweep keeps going
 // so one lazy session cannot shield the rest.
 func (p *SessionPool) auditSweep(stop <-chan struct{}) {
-	n := p.opt.AuditChallenges
-	if n <= 0 {
-		n = DefaultAuditChallenges
-	}
 	for _, txn := range p.auditor.snapshot() {
 		select {
 		case <-stop:
@@ -124,7 +120,7 @@ func (p *SessionPool) auditSweep(stop <-chan struct{}) {
 		default:
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), p.c.timeout)
-		_, _ = p.Audit(ctx, txn, n)
+		_, _ = p.Audit(ctx, txn, DefaultAuditChallenges)
 		cancel()
 	}
 }

@@ -453,14 +453,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// ActiveConns reports connections currently being served (tests and
-// operational introspection).
-func (s *Server) ActiveConns() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.conns)
-}
-
 // Panics reports how many handler panics the server has absorbed.
 func (s *Server) Panics() int64 { return s.panics.Load() }
 

@@ -46,8 +46,8 @@ func encodeSettleRequest(txns []string) []byte {
 // decodeSettleRequest reverses encodeSettleRequest.
 func decodeSettleRequest(b []byte) ([]string, error) {
 	d := wire.NewDecoder(b)
-	if magic := d.String(); magic != "tpnr-settle-req-v1" {
-		return nil, fmt.Errorf("bad settle request magic %q", magic)
+	if err := d.Magic("tpnr-settle-req-v1"); err != nil {
+		return nil, fmt.Errorf("bad settle request: %w", err)
 	}
 	n := d.U32()
 	if n == 0 || n > maxSettleTxns {

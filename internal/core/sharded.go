@@ -76,7 +76,8 @@ type shardMetrics struct {
 	checkpoints []*obs.Counter
 }
 
-func newShardMetrics(reg *obs.Registry, n int) *shardMetrics {
+func newShardMetrics(n int) *shardMetrics {
+	reg := obs.Default()
 	m := &shardMetrics{
 		msgs:        make([]*obs.Counter, n),
 		degraded:    make([]*obs.Gauge, n),
@@ -93,19 +94,6 @@ func newShardMetrics(reg *obs.Registry, n int) *shardMetrics {
 	return m
 }
 
-// ShardedOption adjusts a ShardedEngine's wiring.
-type ShardedOption func(*shardedConfig)
-
-type shardedConfig struct {
-	reg *obs.Registry
-}
-
-// ShardedRegistry directs the engine's per-shard metrics into reg
-// instead of the process-wide default.
-func ShardedRegistry(r *obs.Registry) ShardedOption {
-	return func(c *shardedConfig) { c.reg = r }
-}
-
 // ShardedEngine fronts N Provider shards behind the ProviderEngine
 // surface. Immutable after construction; each shard provides its own
 // internal synchronization exactly as it does standalone.
@@ -118,7 +106,7 @@ type ShardedEngine struct {
 // NewShardedEngine builds the engine over the given shards. The slice
 // order is the shard numbering — it must match the per-shard directory
 // layout (shard.DirName) the shards' journals were opened under.
-func NewShardedEngine(shards []*Provider, opts ...ShardedOption) (*ShardedEngine, error) {
+func NewShardedEngine(shards []*Provider) (*ShardedEngine, error) {
 	if len(shards) == 0 {
 		return nil, errors.New("core: sharded engine needs at least one shard")
 	}
@@ -127,14 +115,10 @@ func NewShardedEngine(shards []*Provider, opts ...ShardedOption) (*ShardedEngine
 			return nil, fmt.Errorf("core: shard %d is nil", i)
 		}
 	}
-	cfg := shardedConfig{reg: obs.Default()}
-	for _, fn := range opts {
-		fn(&cfg)
-	}
 	return &ShardedEngine{
 		ring:   shard.New(len(shards)),
 		shards: shards,
-		met:    newShardMetrics(cfg.reg, len(shards)),
+		met:    newShardMetrics(len(shards)),
 	}, nil
 }
 

@@ -9,15 +9,16 @@ package core
 // engine's consistent-hash routing, with SyncAlways journals: every
 // append is an fsync, so one shard serializes the entire offered load
 // behind one journal lock and one fsync stream, while N shards run N
-// independent streams. Evidence is fabricated e13-style — crypto
+// independent streams. Evidence is fabricated (fakeEvidence) — crypto
 // parallelizes trivially and would only dilute the serialization
 // under test.
 //
 // Recovery: the same session history is journaled across N shards,
 // closed, and recovered — one goroutine per shard replaying its own
-// journal. Replay is decode-bound CPU, so recovery wall time should
-// drop toward 1/N with shard count (the tentpole's ≥2x-at-4-shards
-// acceptance bound; cmd/benchreport computes the ratios).
+// journal. Replay is decode-bound CPU, so recovery wall time can drop
+// toward 1/N with shard count only on a host with that many cores.
+// Neither family gates anything: the multi-core contended workload
+// that would put sharding on trial is not measured yet.
 
 import (
 	"context"
@@ -54,13 +55,13 @@ func BenchmarkE14ShardedUpload(b *testing.B) {
 				for pb.Next() {
 					txn := fmt.Sprintf("txn-%08d", ctr.Add(1))
 					p := e.ShardFor(txn)
-					if err := p.putEvidence(txn, evidence.RolePeer, e13Evidence(evidence.KindNRO, txn, "alice", "bob", sig)); err != nil {
+					if err := p.putEvidence(txn, evidence.RolePeer, fakeEvidence(evidence.KindNRO, txn, "alice", "bob", sig)); err != nil {
 						b.Fatal(err)
 					}
 					if err := p.setState(txn, session.StateEvidenceReceived); err != nil {
 						b.Fatal(err)
 					}
-					if err := p.putEvidence(txn, evidence.RoleOwn, e13Evidence(evidence.KindNRR, txn, "bob", "alice", sig)); err != nil {
+					if err := p.putEvidence(txn, evidence.RoleOwn, fakeEvidence(evidence.KindNRR, txn, "bob", "alice", sig)); err != nil {
 						b.Fatal(err)
 					}
 					if err := p.setState(txn, session.StateCompleted); err != nil {

@@ -20,6 +20,20 @@ import (
 	"repro/internal/wal"
 )
 
+// fakeEvidence fabricates a decodable evidence item. The signatures
+// are placeholders — journal replay decodes, it never verifies — so
+// replay pays the honest decode cost per record and nothing else.
+func fakeEvidence(kind evidence.Kind, txn, sender, recipient string, sig []byte) *evidence.Evidence {
+	h := &evidence.Header{
+		Kind: kind, TxnID: txn, Seq: 1, Nonce: []byte(txn),
+		SenderID: sender, RecipientID: recipient,
+		ObjectKey: "bench/" + txn, ObjectLen: 4096,
+		Timestamp: time.Unix(1700000000, 0),
+	}
+	h.SetDigests([]byte(txn))
+	return &evidence.Evidence{Header: h, DataSig: sig, HeaderSig: sig}
+}
+
 // e14Engine builds an n-shard engine whose shard i journals under
 // dir/shard-NN — the daemon's on-disk layout — so close-and-reopen
 // tests exercise the exact restart path.
@@ -63,8 +77,9 @@ func e14Engine(tb testing.TB, dir string, n int, policy wal.SyncPolicy) (*Sharde
 }
 
 // e14Populate journals count completed upload sessions through the
-// engine's own routing (owner shard per txn), e13-style: peer NRO, own
-// NRR, two state transitions. Returns the per-shard session counts.
+// engine's own routing (owner shard per txn), with fakeEvidence: peer
+// NRO, own NRR, two state transitions. Returns the per-shard session
+// counts.
 func e14Populate(tb testing.TB, e *ShardedEngine, from, count int) []int {
 	tb.Helper()
 	sig := make([]byte, 256)
@@ -73,13 +88,13 @@ func e14Populate(tb testing.TB, e *ShardedEngine, from, count int) []int {
 		txn := fmt.Sprintf("txn-%06d", i)
 		p := e.ShardFor(txn)
 		perShard[e.ShardIndex(txn)]++
-		if err := p.putEvidence(txn, evidence.RolePeer, e13Evidence(evidence.KindNRO, txn, "alice", "bob", sig)); err != nil {
+		if err := p.putEvidence(txn, evidence.RolePeer, fakeEvidence(evidence.KindNRO, txn, "alice", "bob", sig)); err != nil {
 			tb.Fatal(err)
 		}
 		if err := p.setState(txn, session.StateEvidenceReceived); err != nil {
 			tb.Fatal(err)
 		}
-		if err := p.putEvidence(txn, evidence.RoleOwn, e13Evidence(evidence.KindNRR, txn, "bob", "alice", sig)); err != nil {
+		if err := p.putEvidence(txn, evidence.RoleOwn, fakeEvidence(evidence.KindNRR, txn, "bob", "alice", sig)); err != nil {
 			tb.Fatal(err)
 		}
 		if err := p.setState(txn, session.StateCompleted); err != nil {
@@ -225,7 +240,7 @@ func TestShardedEvidenceWrongShardFallback(t *testing.T) {
 	sig := make([]byte, 64)
 	txn := "txn-misrouted"
 	wrong := (e.ShardIndex(txn) + 1) % e.N()
-	if err := e.Shard(wrong).putEvidence(txn, evidence.RoleOwn, e13Evidence(evidence.KindNRR, txn, "bob", "alice", sig)); err != nil {
+	if err := e.Shard(wrong).putEvidence(txn, evidence.RoleOwn, fakeEvidence(evidence.KindNRR, txn, "bob", "alice", sig)); err != nil {
 		t.Fatal(err)
 	}
 	ev, err := e.EvidenceByKind(txn, evidence.RoleOwn, evidence.KindNRR)
@@ -273,7 +288,7 @@ func TestShardedHealthDegradedShard(t *testing.T) {
 		return errors.New("write: no space left on device")
 	})
 	sig := make([]byte, 64)
-	if err := e.Shard(sick).putEvidence("txn-degrade", evidence.RolePeer, e13Evidence(evidence.KindNRO, "txn-degrade", "alice", "bob", sig)); err == nil {
+	if err := e.Shard(sick).putEvidence("txn-degrade", evidence.RolePeer, fakeEvidence(evidence.KindNRO, "txn-degrade", "alice", "bob", sig)); err == nil {
 		faultpoint.Reset()
 		t.Fatal("append with ENOSPC armed succeeded")
 	}
@@ -351,7 +366,7 @@ func e14AuditSession(tb testing.TB, p *Provider, txn string) {
 	sig := make([]byte, 64)
 	put := func(role evidence.Role, kind evidence.Kind, seq uint64) {
 		tb.Helper()
-		ev := e13Evidence(kind, txn, "alice", "bob", sig)
+		ev := fakeEvidence(kind, txn, "alice", "bob", sig)
 		if role == evidence.RoleOwn {
 			ev.Header.SenderID, ev.Header.RecipientID = "bob", "alice"
 		}

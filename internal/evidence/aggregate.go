@@ -150,8 +150,8 @@ func (r *AggregateReceipt) Encode() []byte {
 // DecodeAggregateReceipt reverses Encode without verifying.
 func DecodeAggregateReceipt(b []byte) (*AggregateReceipt, error) {
 	d := wire.NewDecoder(b)
-	if magic := d.String(); magic != "tpnr-agg-receipt-signed-v1" {
-		return nil, fmt.Errorf("%w: bad receipt magic %q", ErrMalformed, magic)
+	if err := d.Magic("tpnr-agg-receipt-signed-v1"); err != nil {
+		return nil, fmt.Errorf("%w: receipt: %w", ErrMalformed, err)
 	}
 	canon := d.Bytes32()
 	sig := d.Bytes32()
@@ -159,8 +159,8 @@ func DecodeAggregateReceipt(b []byte) (*AggregateReceipt, error) {
 		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
 	}
 	cd := wire.NewDecoder(canon)
-	if magic := cd.String(); magic != "tpnr-agg-receipt-v1" {
-		return nil, fmt.Errorf("%w: bad receipt body magic %q", ErrMalformed, magic)
+	if err := cd.Magic("tpnr-agg-receipt-v1"); err != nil {
+		return nil, fmt.Errorf("%w: receipt body: %w", ErrMalformed, err)
 	}
 	r := &AggregateReceipt{Sig: sig}
 	r.SessionID = cd.String()
@@ -201,8 +201,8 @@ func EncodeProof(p *merkle.Proof) []byte {
 // DecodeProof reverses EncodeProof.
 func DecodeProof(b []byte) (*merkle.Proof, error) {
 	d := wire.NewDecoder(b)
-	if magic := d.String(); magic != "tpnr-merkle-proof-v1" {
-		return nil, fmt.Errorf("%w: bad proof magic %q", ErrMalformed, magic)
+	if err := d.Magic("tpnr-merkle-proof-v1"); err != nil {
+		return nil, fmt.Errorf("%w: proof: %w", ErrMalformed, err)
 	}
 	p := &merkle.Proof{}
 	p.Index = int(d.U32())

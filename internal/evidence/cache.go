@@ -42,10 +42,9 @@ var (
 // The cache is sharded to keep concurrent verifiers (32+ server
 // goroutines) off a single mutex; each shard is an independent LRU.
 type VerifyCache struct {
-	shards    [verifyShards]verifyShard
-	hits      atomic.Uint64
-	misses    atomic.Uint64
-	evictions atomic.Uint64
+	shards [verifyShards]verifyShard
+	hits   atomic.Uint64
+	misses atomic.Uint64
 }
 
 const verifyShards = 16
@@ -77,12 +76,6 @@ func NewVerifyCache(capacity int) *VerifyCache {
 // Stats reports cache hits and misses so far.
 func (c *VerifyCache) Stats() (hits, misses uint64) {
 	return c.hits.Load(), c.misses.Load()
-}
-
-// Evictions reports entries displaced by the LRU bound so far — the
-// signal that the configured capacity is too small for the working set.
-func (c *VerifyCache) Evictions() uint64 {
-	return c.evictions.Load()
 }
 
 // Len reports the number of cached verifications.
@@ -144,7 +137,6 @@ func (c *VerifyCache) insert(k [32]byte) {
 			old := s.ll.Back()
 			s.ll.Remove(old)
 			delete(s.keys, old.Value.([32]byte))
-			c.evictions.Add(1)
 			obsCacheEvictions.Inc()
 		}
 	}

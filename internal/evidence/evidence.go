@@ -149,8 +149,8 @@ func (h *Header) Encode() []byte {
 // DecodeHeader reverses Encode.
 func DecodeHeader(b []byte) (*Header, error) {
 	d := wire.NewDecoder(b)
-	if magic := d.String(); magic != "tpnr-header-v1" {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrMalformed, magic)
+	if err := d.Magic("tpnr-header-v1"); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrMalformed, err)
 	}
 	h := &Header{}
 	h.Kind = Kind(d.U8())
@@ -330,8 +330,8 @@ func open(recipient cryptoutil.Signer, sealed []byte, plainHeader *Header) (*Evi
 		return nil, fmt.Errorf("evidence: unsealing: %w", err)
 	}
 	d := wire.NewDecoder(plain)
-	if magic := d.String(); magic != "tpnr-evidence-v1" {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrMalformed, magic)
+	if err := d.Magic("tpnr-evidence-v1"); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrMalformed, err)
 	}
 	headerBytes := d.Bytes32()
 	dataSig := d.Bytes32()
@@ -383,8 +383,8 @@ func (ev *Evidence) Encode() []byte {
 // verifies explicitly).
 func Decode(b []byte) (*Evidence, error) {
 	d := wire.NewDecoder(b)
-	if magic := d.String(); magic != "tpnr-evidence-plain-v1" {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrMalformed, magic)
+	if err := d.Magic("tpnr-evidence-plain-v1"); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrMalformed, err)
 	}
 	headerBytes := d.Bytes32()
 	dataSig := d.Bytes32()

@@ -84,8 +84,8 @@ func encodeFrame(f *frame) []byte {
 
 func decodeFrame(b []byte) (*frame, error) {
 	d := wire.NewDecoder(b)
-	if magic := d.String(); magic != replMagic {
-		return nil, fmt.Errorf("replica: bad frame magic %q", magic)
+	if err := d.Magic(replMagic); err != nil {
+		return nil, fmt.Errorf("replica: bad frame: %w", err)
 	}
 	f := &frame{}
 	f.Kind = d.U8()

@@ -85,14 +85,6 @@ type Tamperer interface {
 	Tamper(key string, fixDigest bool, mutate func([]byte) []byte) error
 }
 
-// Versioned stores keep history.
-type Versioned interface {
-	// GetVersion returns a historical version (1-based).
-	GetVersion(key string, version int) (Object, error)
-	// Versions returns the number of versions of key.
-	Versions(key string) (int, error)
-}
-
 // Mem is an in-memory Store with version history and tampering.
 // The zero value is not usable; construct with NewMem.
 type Mem struct {
@@ -185,7 +177,7 @@ func (m *Mem) Tamper(key string, fixDigest bool, mutate func([]byte) []byte) err
 	return nil
 }
 
-// GetVersion implements Versioned.
+// GetVersion returns a historical version of key (1-based).
 func (m *Mem) GetVersion(key string, version int) (Object, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -199,7 +191,7 @@ func (m *Mem) GetVersion(key string, version int) (Object, error) {
 	return hist[version-1].Clone(), nil
 }
 
-// Versions implements Versioned.
+// Versions returns the number of versions of key.
 func (m *Mem) Versions(key string) (int, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()

@@ -33,11 +33,12 @@ type Tap struct {
 	client Conn // toward the client (we act as server)
 	server Conn // toward the server (we act as client)
 
-	mu          sync.Mutex
-	interceptor Interceptor
-	log         []TapRecord
-	done        chan struct{}
-	closeOnce   sync.Once
+	interceptor Interceptor // fixed at NewTap
+
+	mu        sync.Mutex
+	log       []TapRecord
+	done      chan struct{}
+	closeOnce sync.Once
 }
 
 // TapRecord is one observed message.
@@ -58,13 +59,6 @@ func NewTap(clientSide, serverSide Conn, ic Interceptor) *Tap {
 	return t
 }
 
-// SetInterceptor swaps the interception policy at runtime.
-func (t *Tap) SetInterceptor(ic Interceptor) {
-	t.mu.Lock()
-	t.interceptor = ic
-	t.mu.Unlock()
-}
-
 func (t *Tap) relay(dir Direction, from, to Conn) {
 	for {
 		msg, err := from.Recv()
@@ -72,13 +66,9 @@ func (t *Tap) relay(dir Direction, from, to Conn) {
 			t.Close()
 			return
 		}
-		t.mu.Lock()
-		ic := t.interceptor
-		t.mu.Unlock()
-
 		fwd, deliver := msg, true
-		if ic != nil {
-			fwd, deliver = ic(dir, msg)
+		if t.interceptor != nil {
+			fwd, deliver = t.interceptor(dir, msg)
 		}
 		rec := TapRecord{Dir: dir, Msg: append([]byte(nil), msg...), Dropped: !deliver}
 		if deliver && string(fwd) != string(msg) {

@@ -40,6 +40,31 @@ func TestPipeSendCopies(t *testing.T) {
 	a.Close()
 }
 
+// TestPipeSendRecvAllocs: with the receiver recycling what it takes,
+// a send through the in-memory pipe reuses a pooled buffer and the
+// queue's slot, so the steady state allocates nothing.
+func TestPipeSendRecvAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop buffers at random")
+	}
+	x, y := Pipe(64)
+	defer x.Close()
+	msg := make([]byte, 4096)
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := x.Send(msg); err != nil {
+			t.Fatal(err)
+		}
+		buf, err := y.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		Recycle(buf)
+	})
+	if allocs != 0 {
+		t.Fatalf("a 4 KiB send, receive and recycle allocates %.1f times, want 0", allocs)
+	}
+}
+
 // TestPipeConcurrentRecycle hammers send/recv/recycle from both ends
 // under -race: pooled buffers must never be visible to two owners.
 func TestPipeConcurrentRecycle(t *testing.T) {

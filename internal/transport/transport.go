@@ -141,8 +141,13 @@ func (q *msgQueue) pop() ([]byte, error) {
 	if len(q.buf) == 0 {
 		return nil, ErrClosed
 	}
+	// Shift rather than reslice: q.buf[1:] would shed a slot of capacity
+	// per message, so a queue that drains after every message would
+	// reallocate on every push.
 	msg := q.buf[0]
-	q.buf = q.buf[1:]
+	n := copy(q.buf, q.buf[1:])
+	q.buf[n] = nil
+	q.buf = q.buf[:n]
 	q.cond.Broadcast()
 	return msg, nil
 }

@@ -316,16 +316,6 @@ func (w *WAL) LoadCheckpoint() (payload []byte, lsn uint64, ok bool) {
 	return append([]byte(nil), w.ckpt.payload...), w.ckpt.LSN, true
 }
 
-// LastCheckpoint reports the current snapshot's LSN and wall time.
-func (w *WAL) LastCheckpoint() (lsn uint64, taken time.Time, ok bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.ckpt == nil {
-		return 0, time.Time{}, false
-	}
-	return w.ckpt.LSN, w.ckpt.Taken, true
-}
-
 // LSN reports the log sequence number of the last appended record —
 // records since genesis, surviving compaction.
 func (w *WAL) LSN() uint64 {

@@ -212,6 +212,21 @@ func (d *Decoder) View32() []byte {
 	return d.take(int(n), "bytes32 body")
 }
 
+// Magic reads a length-prefixed magic string and checks it is want,
+// comparing in place. The magic is whatever the sender wrote, up to
+// MaxFrameSize of it, so a mismatch is reported by its length and at
+// most its first 16 bytes, never copied whole. The mismatch becomes the
+// decoder's sticky error; on short input that error is ErrShortBuffer.
+// Magic returns the sticky error, nil when the magic matched.
+func (d *Decoder) Magic(want string) error {
+	got := d.View32()
+	if d.err == nil && string(got) != want {
+		head := got[:min(len(got), 16)]
+		d.err = fmt.Errorf("wire: bad magic (%d bytes, starts %q), want %q", len(got), head, want)
+	}
+	return d.err
+}
+
 // String reads a length-prefixed string.
 func (d *Decoder) String() string { return string(d.View32()) }
 

@@ -106,6 +106,25 @@ func TestBytes32HugeLengthRejected(t *testing.T) {
 	}
 }
 
+func TestMagic(t *testing.T) {
+	ok := NewEncoder(0).String("m-v1").U8(7).Bytes()
+	d := NewDecoder(ok)
+	if err := d.Magic("m-v1"); err != nil || d.U8() != 7 || d.Finish() != nil {
+		t.Fatalf("matching magic: err = %v", err)
+	}
+	// A mismatch is sticky and names only the length and a prefix.
+	junk := NewEncoder(0).String(string(bytes.Repeat([]byte("x"), 1000))).Bytes()
+	d = NewDecoder(junk)
+	err := d.Magic("m-v1")
+	if err == nil || d.Err() != err || len(err.Error()) >= 100 {
+		t.Fatalf("junk magic: err = %v", err)
+	}
+	// Short input reports the short buffer, as every other getter does.
+	if err := NewDecoder([]byte{0, 0, 0, 9, 'm'}).Magic("m-v1"); !errors.Is(err, ErrShortBuffer) {
+		t.Fatalf("short magic: err = %v, want ErrShortBuffer", err)
+	}
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	msgs := [][]byte{[]byte("first"), {}, []byte("third message")}
