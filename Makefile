@@ -22,7 +22,7 @@ TPNR_SHARDS ?=
 # Default 1 keeps journals unreplicated; chaos-replicated pins 3.
 TPNR_REPLICAS ?=
 
-.PHONY: build vet test race race-core fuzz-short bench bench-smoke bench-e17 chaos chaos-short chaos-sharded chaos-replicated obs-smoke verify
+.PHONY: build vet test race race-core fuzz-short bench bench-smoke bench-e17 chaos chaos-short chaos-sharded chaos-replicated crash-enum obs-smoke verify
 
 build:
 	$(GO) build ./...
@@ -44,11 +44,13 @@ race:
 # duplicated NRO is handled after the client already has its NRR; and
 # the replication stream — snapshot catch-up racing the idle probe,
 # follower restart, a stalled follower beside leader appends, two
-# connections applying to one follower, and the journal's batch read
-# under concurrent appends. A race in any of them shows in some runs,
-# not in every run, so one pass of `race` is not enough to catch it.
+# connections applying to one follower, a follower applying leader
+# batches appended from many goroutines — and the journal's batch read
+# and batched append under concurrent appends. A race in any of them
+# shows in some runs, not in every run, so one pass of `race` is not
+# enough to catch it.
 race-core:
-	$(GO) test -race -count=10 -run 'TestServerExpiryReaper|TestBuilder|TestPrivateKeyBudget|TestUploadOverDuplicatingLink|TestSnapshotCatchUp|TestFollower|TestStalledFollowerDoesNotBlockAppends|TestConcurrentServeConnSerialized|TestReadBatchFromLSN' ./internal/core ./internal/evidence ./internal/integration ./internal/replica ./internal/wal
+	$(GO) test -race -count=10 -run 'TestServerExpiryReaper|TestBuilder|TestPrivateKeyBudget|TestUploadOverDuplicatingLink|TestSnapshotCatchUp|TestFollower|TestStalledFollowerDoesNotBlockAppends|TestConcurrentServeConnSerialized|TestReadBatchFromLSN|TestAppendBatch' ./internal/core ./internal/evidence ./internal/integration ./internal/replica ./internal/wal
 
 # fuzz-short runs, for ten seconds each past their committed seed
 # corpora (testdata/fuzz in each package), the native fuzz targets of
@@ -101,6 +103,18 @@ chaos-sharded:
 chaos-replicated:
 	$(MAKE) chaos TPNR_SHARDS=4 TPNR_REPLICAS=3
 
+# crash-enum runs the crash-state enumerator (internal/crashenum,
+# DESIGN.md §16) over every cell of its matrix: both signature schemes,
+# the provider journal unreplicated and at R=3. A set TPNR_SCHEME or
+# TPNR_REPLICAS selects the unbounded traces (each trace's operations
+# repeated over three rounds); plain `go test` runs each trace once at
+# its defaults.
+crash-enum:
+	@for s in rsa ed25519; do for r in 1 3; do \
+		echo "crash-enum: scheme $$s, R=$$r"; \
+		TPNR_SCHEME=$$s TPNR_REPLICAS=$$r $(GO) test -count=1 -run '^TestCrashEnum$$' ./internal/crashenum || exit 1; \
+	done; done
+
 # obs-smoke boots a transient nrserver with the observability endpoint
 # and curls /healthz and /metrics — the cheapest end-to-end proof that
 # the operational surface actually serves.
@@ -117,10 +131,10 @@ obs-smoke:
 	echo "obs-smoke: OK"
 
 # verify is the tier-1 gate: vet, compile everything, a quick chaos
-# pass, the full suite under the race detector (the concurrency tests
-# depend on it; race also reruns chaos with the full seed set), the
-# shared-state subset ten times over, ten seconds of fuzzing each of
-# the two network frame decoders, a one-iteration benchmark smoke so
-# the benchmark suite cannot rot, and the E17 scoreboard's own vet +
-# smoke test.
-verify: vet build chaos-short race race-core fuzz-short bench-smoke bench-e17
+# pass, the crash-state enumerator over its whole matrix, the full
+# suite under the race detector (the concurrency tests depend on it;
+# race also reruns chaos with the full seed set), the shared-state
+# subset ten times over, ten seconds of fuzzing each of the two network
+# frame decoders, a one-iteration benchmark smoke so the benchmark
+# suite cannot rot, and the E17 scoreboard's own vet + smoke test.
+verify: vet build chaos-short crash-enum race race-core fuzz-short bench-smoke bench-e17

@@ -37,6 +37,7 @@ import (
 	"sync"
 
 	"repro/internal/faultpoint"
+	"repro/internal/fsys"
 	"repro/internal/wire"
 )
 
@@ -97,8 +98,8 @@ type Store struct {
 	mu  sync.Mutex
 	dir string
 
-	data *os.File
-	idx  *os.File
+	data fsys.File
+	idx  fsys.File
 
 	dataSize int64
 	idxSize  int64
@@ -115,18 +116,33 @@ type Store struct {
 
 // Open loads (creating if needed) the archive in dir and heals any
 // crash wreckage per the package rules.
-func Open(dir string) (*Store, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+func Open(dir string) (*Store, error) { return OpenFS(fsys.OS, dir) }
+
+// OpenFS is Open on the given file system.
+func OpenFS(fs fsys.FS, dir string) (*Store, error) {
+	if err := fs.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("archive: creating %s: %w", dir, err)
 	}
 	s := &Store{dir: dir, index: make(map[string]idxEntry)}
+	var dataNew, idxNew bool
 	var err error
-	if s.data, s.dataSize, err = openTiered(filepath.Join(dir, dataName), dataMagic); err != nil {
+	if s.data, s.dataSize, dataNew, err = openTiered(fs, filepath.Join(dir, dataName), dataMagic); err != nil {
 		return nil, err
 	}
-	if s.idx, s.idxSize, err = openTiered(filepath.Join(dir, idxName), idxMagic); err != nil {
+	if s.idx, s.idxSize, idxNew, err = openTiered(fs, filepath.Join(dir, idxName), idxMagic); err != nil {
 		s.data.Close()
 		return nil, err
+	}
+	// A created file's content is synced by openTiered; its directory
+	// entry is made durable here, once for both. Without it a crash can
+	// lose the file itself after a checkpoint has moved evidence into it
+	// and truncated the journal that held it.
+	if dataNew || idxNew {
+		if err := fs.SyncDir(dir); err != nil {
+			s.data.Close()
+			s.idx.Close()
+			return nil, fmt.Errorf("archive: syncing %s: %w", dir, err)
+		}
 	}
 	if err := s.load(); err != nil {
 		s.data.Close()
@@ -137,26 +153,37 @@ func Open(dir string) (*Store, error) {
 	return s, nil
 }
 
-// openTiered opens or creates one archive file, writing the magic on
-// creation and validating it otherwise. Returns the file positioned at
-// its end and the current size.
-func openTiered(path, magic string) (*os.File, int64, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+// openTiered opens or creates one archive file, writing and syncing
+// the magic on creation and validating it otherwise. Returns the file
+// positioned at its end, the current size, and whether the file was
+// (re)initialised — its directory entry then still needs a sync.
+func openTiered(fs fsys.FS, path, magic string) (fsys.File, int64, bool, error) {
+	f, err := fs.OpenFile(path, os.O_RDWR|os.O_CREATE)
 	if err != nil {
-		return nil, 0, fmt.Errorf("archive: opening %s: %w", filepath.Base(path), err)
+		return nil, 0, false, fmt.Errorf("archive: opening %s: %w", filepath.Base(path), err)
 	}
-	fi, err := f.Stat()
+	size, err := f.Size()
 	if err != nil {
 		f.Close()
-		return nil, 0, fmt.Errorf("archive: stat %s: %w", filepath.Base(path), err)
+		return nil, 0, false, fmt.Errorf("archive: stat %s: %w", filepath.Base(path), err)
 	}
-	size := fi.Size()
-	if size == 0 {
-		if _, err := f.Write([]byte(magic)); err != nil {
+	initHeader := func() (fsys.File, int64, bool, error) {
+		if _, err := f.WriteAt([]byte(magic), 0); err != nil {
 			f.Close()
-			return nil, 0, fmt.Errorf("archive: writing %s header: %w", filepath.Base(path), err)
+			return nil, 0, false, fmt.Errorf("archive: writing %s header: %w", filepath.Base(path), err)
 		}
-		return f, int64(len(magic)), nil
+		if err := f.Sync(); err != nil {
+			f.Close()
+			return nil, 0, false, fmt.Errorf("archive: syncing %s header: %w", filepath.Base(path), err)
+		}
+		if _, err := f.Seek(int64(len(magic)), io.SeekStart); err != nil {
+			f.Close()
+			return nil, 0, false, fmt.Errorf("archive: seeking %s: %w", filepath.Base(path), err)
+		}
+		return f, int64(len(magic)), true, nil
+	}
+	if size == 0 {
+		return initHeader()
 	}
 	hdr := make([]byte, len(magic))
 	if _, err := f.ReadAt(hdr, 0); err != nil || string(hdr) != magic {
@@ -166,26 +193,18 @@ func openTiered(path, magic string) (*os.File, int64, error) {
 		if size < int64(len(magic)) {
 			if err := f.Truncate(0); err != nil {
 				f.Close()
-				return nil, 0, fmt.Errorf("archive: truncating torn %s: %w", filepath.Base(path), err)
+				return nil, 0, false, fmt.Errorf("archive: truncating torn %s: %w", filepath.Base(path), err)
 			}
-			if _, err := f.WriteAt([]byte(magic), 0); err != nil {
-				f.Close()
-				return nil, 0, fmt.Errorf("archive: rewriting %s header: %w", filepath.Base(path), err)
-			}
-			if _, err := f.Seek(int64(len(magic)), io.SeekStart); err != nil {
-				f.Close()
-				return nil, 0, fmt.Errorf("archive: seeking %s: %w", filepath.Base(path), err)
-			}
-			return f, int64(len(magic)), nil
+			return initHeader()
 		}
 		f.Close()
-		return nil, 0, fmt.Errorf("%w: %s: bad file header", ErrCorrupt, filepath.Base(path))
+		return nil, 0, false, fmt.Errorf("%w: %s: bad file header", ErrCorrupt, filepath.Base(path))
 	}
 	if _, err := f.Seek(size, io.SeekStart); err != nil {
 		f.Close()
-		return nil, 0, fmt.Errorf("archive: seeking %s end: %w", filepath.Base(path), err)
+		return nil, 0, false, fmt.Errorf("archive: seeking %s end: %w", filepath.Base(path), err)
 	}
-	return f, size, nil
+	return f, size, false, nil
 }
 
 // load rebuilds the in-memory index and heals the files. Runs at Open,
@@ -316,7 +335,7 @@ func (s *Store) indexDataFrom(off int64) error {
 // intact payloads and the offset just past the last intact record (a
 // smaller offset than size means a torn tail for the caller to
 // truncate).
-func scanRecords(f *os.File, size int64, magic string) ([][]byte, int64, error) {
+func scanRecords(f fsys.File, size int64, magic string) ([][]byte, int64, error) {
 	buf := make([]byte, size-int64(len(magic)))
 	if len(buf) > 0 {
 		if _, err := f.ReadAt(buf, int64(len(magic))); err != nil {

@@ -61,15 +61,11 @@ func TestChaosDegradedDiskPressure(t *testing.T) {
 		t.Fatalf("healthy upload: %v", err)
 	}
 
-	// The disk fills under an in-flight upload, after the NRO binding
-	// lands but before the object record: the provider is bound (it
-	// journaled Alice's NRO) yet cannot finish the transition, so it
-	// withholds the ack.
-	var appends int32
+	// The disk fills under an in-flight upload: the provider journals
+	// the step's NRO, object binding and receipt as one batch, the batch
+	// fails, so it withholds the ack and binds nothing — the batch's
+	// effects are applied only once it is durable.
 	faultpoint.ArmErr("wal.append.enospc", func() error {
-		if atomic.AddInt32(&appends, 1) == 1 {
-			return nil // the NRO binding itself still fits on disk
-		}
 		return errors.New("write: no space left on device")
 	})
 	if _, err := d.Client.Upload(ctx, conn, "txn-wedged", "chaos/wedged", []byte("wedged payload")); err == nil {
@@ -90,7 +86,8 @@ func TestChaosDegradedDiskPressure(t *testing.T) {
 		t.Fatalf("new session on degraded provider: want ErrDegraded, got %v", err)
 	}
 	// ...but the wedged session still converges through §4.3: the
-	// provider holds the NRO and answers the TTP from memory.
+	// provider, which never bound it, answers the TTP's query with a
+	// restart, and the client holds the TTP's signed statement.
 	tc, err := d.DialTTP()
 	if err != nil {
 		t.Fatal(err)
@@ -100,8 +97,8 @@ func TestChaosDegradedDiskPressure(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resolve on degraded provider: %v", err)
 	}
-	if rr.PeerEvidence == nil {
-		t.Fatalf("resolve outcome %q relayed no evidence", rr.Outcome)
+	if rr.TTPStatement == nil || rr.Outcome != "restart" {
+		t.Fatalf("resolve outcome %q (statement %v), want a signed restart", rr.Outcome, rr.TTPStatement != nil)
 	}
 	// Reads survive degradation.
 	if _, err := d.Client.Download(ctx, conn2, "txn-dl", "chaos/pre", "txn-pre"); err != nil {

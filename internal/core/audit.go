@@ -215,10 +215,16 @@ func (b *Provider) handleAuditChallenge(h *evidence.Header, ev *evidence.Evidenc
 		auditFailuresProvider.Inc()
 		return b.errorReply(h, "malformed audit challenge: "+err.Error())
 	}
-	// Journal the inbound challenge first: even a challenge we cannot
-	// answer is dispute material both sides should hold.
-	if err := b.putEvidence(h.TxnID, evidence.RolePeer, ev); err != nil {
-		return nil, err
+	// The inbound challenge is journaled whatever happens next: even a
+	// challenge we cannot answer is dispute material both sides should
+	// hold. Answered, it shares its flush with the response.
+	bt := b.newBatch(h.TxnID).evidence(evidence.RolePeer, ev)
+	refuse := func(note string) (*Message, error) {
+		auditFailuresProvider.Inc()
+		if err := bt.commit(); err != nil {
+			return nil, err
+		}
+		return b.errorReply(h, note)
 	}
 
 	b.txnMu.Lock()
@@ -228,13 +234,11 @@ func (b *Provider) handleAuditChallenge(h *evidence.Header, ev *evidence.Evidenc
 		objKey = h.ObjectKey
 	}
 	if objKey == "" {
-		auditFailuresProvider.Inc()
-		return b.errorReply(h, "audit: unknown transaction "+h.TxnID)
+		return refuse("audit: unknown transaction " + h.TxnID)
 	}
 	obj, err := b.store.Get(objKey)
 	if err != nil {
-		auditFailuresProvider.Inc()
-		return b.errorReply(h, "audit: object unavailable: "+err.Error())
+		return refuse("audit: object unavailable: " + err.Error())
 	}
 	data := obj.Data
 	if b.misbehavior().CorruptAuditProof {
@@ -247,13 +251,11 @@ func (b *Provider) handleAuditChallenge(h *evidence.Header, ev *evidence.Evidenc
 	}
 	tree, chunks, err := audit.ObjectTree(data)
 	if err != nil {
-		auditFailuresProvider.Inc()
-		return b.errorReply(h, "audit: cannot rebuild chunk tree: "+err.Error())
+		return refuse("audit: cannot rebuild chunk tree: " + err.Error())
 	}
 	resp, err := audit.BuildResponse(b.signer, b.id.Name, ch, tree, chunks, b.clk.Now())
 	if err != nil {
-		auditFailuresProvider.Inc()
-		return b.errorReply(h, "audit: cannot prove challenge: "+err.Error())
+		return refuse("audit: cannot prove challenge: " + err.Error())
 	}
 
 	senderKey, err := b.peerKey(h.SenderID)
@@ -268,7 +270,7 @@ func (b *Provider) handleAuditChallenge(h *evidence.Header, ev *evidence.Evidenc
 	if err != nil {
 		return nil, err
 	}
-	if err := b.putEvidence(h.TxnID, evidence.RoleOwn, own); err != nil {
+	if err := bt.evidence(evidence.RoleOwn, own).commit(); err != nil {
 		return nil, err
 	}
 	faultpoint.Hit(fpProviderAuditCrashMid)

@@ -69,16 +69,16 @@ func (c *Client) Upload(ctx context.Context, conn transport.Conn, txnID, objectK
 	}
 	c.tracker.Begin(txnID)
 	faultpoint.Hit(fpClientUploadBeforeJournal)
-	// Journal the NRO before it leaves: once Bob holds it Alice is
-	// committed, so the commitment must survive an immediate crash.
-	if err := c.putEvidence(txnID, evidence.RoleOwn, nro); err != nil {
+	// Journal the NRO before it leaves, in one flush with the state that
+	// says it left: once Bob holds it Alice is committed, so the
+	// commitment must survive an immediate crash.
+	if err := c.newBatch(txnID).evidence(evidence.RoleOwn, nro).state(session.StateEvidenceSent).commit(); err != nil {
 		return nil, err
 	}
 	faultpoint.Hit(fpClientUploadBeforeSend)
 	if err := c.send(conn, msg); err != nil {
 		return nil, fmt.Errorf("core: sending NRO: %w", err)
 	}
-	c.setState(txnID, session.StateEvidenceSent)
 	c.ctr.Inc(metrics.Rounds, 1)
 	faultpoint.Hit(fpClientUploadBeforeAck)
 
@@ -87,7 +87,12 @@ func (c *Client) Upload(ctx context.Context, conn transport.Conn, txnID, objectK
 	if err != nil {
 		return nil, err
 	}
-	c.setState(txnID, session.StateCompleted)
+	// The receipt and the completed state reach the journal in one
+	// flush before Upload returns: the caller may act on the NRR only
+	// once a crash cannot take it back.
+	if err := c.newBatch(txnID).evidence(evidence.RolePeer, nrr).state(session.StateCompleted).commit(); err != nil {
+		return nil, err
+	}
 	return &UploadResult{TxnID: txnID, NRO: nro, NRR: nrr}, nil
 }
 
@@ -123,9 +128,6 @@ func (c *Client) awaitNRR(ctx context.Context, pu *pump, txnID string, sent *evi
 	// is the agreed digest the dispute procedure relies on.
 	if !h.DataMD5.Equal(sent.DataMD5) || !h.DataSHA256.Equal(sent.DataSHA256) {
 		return nil, fmt.Errorf("%w: NRR digests differ from uploaded data", ErrProtocol)
-	}
-	if err := c.putEvidence(txnID, evidence.RolePeer, ev); err != nil {
-		return nil, err
 	}
 	return ev, nil
 }
@@ -205,23 +207,28 @@ func (c *Client) Download(ctx context.Context, conn transport.Conn, txnID, objec
 		return nil, fmt.Errorf("%w: served data does not match provider-signed digests", ErrProtocol)
 	}
 	c.ctr.Inc(metrics.HashOps, 2)
-	if err := c.putEvidence(txnID, evidence.RolePeer, ev); err != nil {
-		return nil, err
-	}
 
 	res := &DownloadResult{TxnID: txnID, Data: m.Payload, Receipt: ev, IntegrityOK: true}
 	// Upload-to-download integrity: compare against the archived
 	// agreed digest from the uploading session.
-	if agreed := c.agreedReceipt(uploadTxn, objectKey); agreed != nil {
+	final := session.StateCompleted
+	agreed := c.agreedReceipt(uploadTxn, objectKey)
+	if agreed != nil {
 		res.AgreedUpload = agreed
 		res.IntegrityOK = agreed.Header.DataMD5.Equal(rh.DataMD5) &&
 			agreed.Header.DataSHA256.Equal(rh.DataSHA256)
 		if !res.IntegrityOK {
-			c.setState(txnID, session.StateFailed)
-			return res, fmt.Errorf("%w: object %q, upload txn %s", ErrIntegrity, objectKey, agreed.Header.TxnID)
+			final = session.StateFailed
 		}
 	}
-	c.setState(txnID, session.StateCompleted)
+	// The provider's signed receipt and the verdict reach the journal in
+	// one flush before Download returns.
+	if err := c.newBatch(txnID).evidence(evidence.RolePeer, ev).state(final).commit(); err != nil {
+		return nil, err
+	}
+	if !res.IntegrityOK {
+		return res, fmt.Errorf("%w: object %q, upload txn %s", ErrIntegrity, objectKey, agreed.Header.TxnID)
+	}
 	return res, nil
 }
 
@@ -306,10 +313,9 @@ func (c *Client) Abort(ctx context.Context, conn transport.Conn, txnID, reason s
 	c.ctr.Inc(metrics.MsgsRecv, 1)
 	switch rh.Kind {
 	case evidence.KindAbortAccept:
-		if err := c.putEvidence(txnID, evidence.RolePeer, ev); err != nil {
+		if err := c.newBatch(txnID).evidence(evidence.RolePeer, ev).state(session.StateAborted).commit(); err != nil {
 			return nil, err
 		}
-		c.setState(txnID, session.StateAborted)
 		return &AbortResult{TxnID: txnID, Accepted: true, Receipt: ev}, nil
 	case evidence.KindAbortReject:
 		if err := c.putEvidence(txnID, evidence.RolePeer, ev); err != nil {
@@ -372,7 +378,7 @@ func (c *Client) Resolve(ctx context.Context, ttpConn transport.Conn, txnID, rep
 	if err != nil {
 		return nil, err
 	}
-	if err := c.putEvidence(txnID, evidence.RoleOwn, own); err != nil {
+	if err := c.newBatch(txnID).evidence(evidence.RoleOwn, own).state(session.StateResolving).commit(); err != nil {
 		return nil, err
 	}
 	if err := c.send(ttpConn, msg); err != nil {
@@ -380,7 +386,6 @@ func (c *Client) Resolve(ctx context.Context, ttpConn transport.Conn, txnID, rep
 	}
 	c.ctr.Inc(metrics.Resolves, 1)
 	c.ctr.Inc(metrics.TTPMsgs, 1)
-	c.setState(txnID, session.StateResolving)
 	faultpoint.Hit(fpClientResolveBeforeCompletion)
 
 	pu := c.pumpFor(ttpConn)
@@ -400,38 +405,37 @@ func (c *Client) Resolve(ctx context.Context, ttpConn transport.Conn, txnID, rep
 	if rh.Kind != evidence.KindResolveResponse {
 		return nil, fmt.Errorf("%w: unexpected %s from TTP", ErrProtocol, rh.Kind)
 	}
-	res := &ResolveResult{TxnID: txnID, Outcome: rh.Note}
-	if rh.SenderID == c.TTPID {
-		// TTP's own statement (provider unresponsive, or relayed
-		// verdict).
-		res.TTPStatement = ev
-		if err := c.putEvidence(txnID, evidence.RolePeer, ev); err != nil {
-			return nil, err
-		}
-		if len(m.Payload) > 0 {
-			// Relayed provider evidence rides in the payload.
-			peer, err := evidence.Decode(m.Payload)
-			if err == nil {
-				provKey, kerr := c.peerKey(c.ProviderID)
-				if kerr == nil && peer.VerifyWith(provKey) == nil {
-					res.PeerEvidence = peer
-					if err := c.putEvidence(txnID, evidence.RolePeer, peer); err != nil {
-						return nil, err
-					}
-					if peer.Header.Kind == evidence.KindAbortAccept {
-						// The provider honored an abort (possibly during its
-						// own crash recovery): the relayed receipt closes the
-						// transaction as aborted, not completed.
-						c.setState(txnID, session.StateAborted)
-					} else {
-						c.setState(txnID, session.StateCompleted)
-					}
+	if rh.SenderID != c.TTPID {
+		return nil, fmt.Errorf("%w: resolve response from %q, want TTP %q", ErrProtocol, rh.SenderID, c.TTPID)
+	}
+	// TTP's own statement (provider unresponsive, or relayed verdict),
+	// journaled with the relayed provider evidence and the closing state
+	// in one flush before Resolve returns.
+	res := &ResolveResult{TxnID: txnID, Outcome: rh.Note, TTPStatement: ev}
+	b := c.newBatch(txnID).evidence(evidence.RolePeer, ev)
+	if len(m.Payload) > 0 {
+		// Relayed provider evidence rides in the payload.
+		peer, err := evidence.Decode(m.Payload)
+		if err == nil {
+			provKey, kerr := c.peerKey(c.ProviderID)
+			if kerr == nil && peer.VerifyWith(provKey) == nil {
+				res.PeerEvidence = peer
+				b.evidence(evidence.RolePeer, peer)
+				if peer.Header.Kind == evidence.KindAbortAccept {
+					// The provider honored an abort (possibly during its
+					// own crash recovery): the relayed receipt closes the
+					// transaction as aborted, not completed.
+					b.state(session.StateAborted)
+				} else {
+					b.state(session.StateCompleted)
 				}
 			}
 		}
-		return res, nil
 	}
-	return nil, fmt.Errorf("%w: resolve response from %q, want TTP %q", ErrProtocol, rh.SenderID, c.TTPID)
+	if err := b.commit(); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // PendingNRO returns the archived own-NRO for a transaction, used when

@@ -10,6 +10,12 @@ import "repro/internal/faultpoint"
 // and after send before the reply lands (both sides hold evidence but
 // neither knows it — resolve reconciles). The chaos suite arms each in
 // turn with faultpoint.Kill and asserts the dispute invariant.
+//
+// A protocol step journals one batch, so the provider's upload has no
+// instant with the NRO durable and the receipt not yet queued:
+// after-journal-before-nrr fires, on the honest path, once the NRR is
+// signed and before the step's batch is journaled, and after the batch
+// on the silent provider's path, which queues no receipt.
 var (
 	fpClientUploadBeforeJournal     = faultpoint.Register("client.upload.before-journal")
 	fpClientUploadBeforeSend        = faultpoint.Register("client.upload.after-journal-before-send")

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"repro/internal/evidence"
 	"repro/internal/session"
@@ -82,23 +83,24 @@ type Replicator interface {
 	Quorum() error
 }
 
-// journalAppend encodes and appends one record; a nil journal is a
-// no-op (parties without a WAL run exactly as before). On a journal
-// already poisoned by a sticky I/O error the append is skipped rather
-// than failed: degraded mode refuses NEW bindings at admission
-// (handleUpload), and failing every in-flight transition here would
-// also break the abort/resolve paths that must keep working to drain
-// existing sessions.
+// journalAppend appends one protocol step's encoded records as one
+// journal batch — one write, one flush — and, with a Replicator
+// attached, waits once for the last record's LSN to reach the write
+// quorum; a nil journal is a no-op (parties without a WAL run exactly
+// as before). On a journal already poisoned by a sticky I/O error the
+// append is skipped rather than failed: degraded mode refuses NEW
+// bindings at admission (handleUpload), and failing every in-flight
+// transition here would also break the abort/resolve paths that must
+// keep working to drain existing sessions.
 //
-// With a Replicator attached the append only returns once the record
-// is durable on the write quorum, extending journal-before-ack across
-// machines: the NRR at upload-binding is not signed until quorum nodes
-// could each prove the binding after losing any single node. A quorum
-// timeout fails THIS append (its step is correctly not acked) and
-// degrades the group; while degraded, Replicate drains without waiting
-// — mirroring the local degraded-skip policy above — and admission
-// refuses new sessions via Health until repair restores the quorum.
-func (p *party) journalAppend(r *journalRecord) error {
+// The quorum wait extends journal-before-ack across machines: the NRR
+// at upload-binding is not sent until quorum nodes could each prove
+// the binding after losing any single node. A quorum timeout fails
+// THIS append (its step is correctly not acked) and degrades the
+// group; while degraded, Replicate drains without waiting — mirroring
+// the local degraded-skip policy above — and admission refuses new
+// sessions via Health until repair restores the quorum.
+func (p *party) journalAppend(recs [][]byte) error {
 	if p.journal == nil {
 		return nil
 	}
@@ -106,7 +108,7 @@ func (p *party) journalAppend(r *journalRecord) error {
 		coreDegradedSkips.Inc()
 		return nil
 	}
-	lsn, err := p.journal.AppendLSN(r.encode())
+	lsn, err := p.journal.AppendBatch(recs)
 	if err != nil {
 		return fmt.Errorf("core: journaling %s transition: %w", p.id.Name, err)
 	}
@@ -119,51 +121,142 @@ func (p *party) journalAppend(r *journalRecord) error {
 	return nil
 }
 
-// putEvidence journals an evidence item and then archives it. The
-// journal write comes FIRST: once the item is in the in-memory archive
-// the engine will act on it (send the ack, issue the receipt), and an
-// acked transition that is not durable is exactly the half-bound state
-// recovery exists to prevent. On journal failure the item is not
-// archived and the caller must not ack.
-// The journal+archive pair holds ckptMu's read side so a concurrent
-// Checkpoint cannot snapshot between the two: the record would land in
-// the truncated prefix while its effect missed the snapshot.
-func (p *party) putEvidence(txn string, role evidence.Role, ev *evidence.Evidence) error {
+// batch is one protocol step's journal records for one transaction
+// and the in-memory effects they license. A step queues what it must
+// make durable before its message leaves — evidence, tracker
+// transitions, role-specific bindings — and commits once: one journal
+// write, one flush, one quorum wait. The effects (archive, tracker,
+// maps) become visible only after the commit made the records durable,
+// so no other goroutine can act on state a crash could still take
+// back.
+type batch struct {
+	p     *party
+	txn   string
+	steps []batchStep
+	// stateErr is the first queued transition the tracker refused at
+	// commit (out of a terminal state): it was neither journaled nor
+	// applied.
+	stateErr error
+	// buf backs steps for the common step sizes (an upload's provider
+	// side queues five), so queueing allocates nothing.
+	buf [6]batchStep
+}
+
+// batchStep is one queued record — encoded — with its effect: an
+// evidence item for the archive, a tracker transition (checked against
+// the tracker at commit), or a role-specific apply func.
+type batchStep struct {
+	rec   []byte
+	kind  uint8
+	role  evidence.Role
+	ev    *evidence.Evidence
+	state session.State
+	apply func()
+}
+
+func (p *party) newBatch(txn string) *batch {
+	b := &batch{p: p, txn: txn}
+	b.steps = b.buf[:0]
+	return b
+}
+
+// evidence queues an evidence item for the journal and the archive.
+func (b *batch) evidence(role evidence.Role, ev *evidence.Evidence) *batch {
+	r := journalRecord{Kind: jrEvidence, Txn: b.txn, Aux: uint8(role), Blob: ev.Encode()}
+	b.steps = append(b.steps, batchStep{rec: r.encode(), kind: jrEvidence, role: role, ev: ev})
+	return b
+}
+
+// state queues a tracker transition. Replay applies journaled
+// transitions unconditionally, so an illegal one (out of a terminal
+// state) must not be journaled: commit checks each against the
+// tracker, in order, and drops the ones it refuses (see stateErr).
+func (b *batch) state(next session.State) *batch {
+	r := journalRecord{Kind: jrState, Txn: b.txn, Aux: uint8(next)}
+	b.steps = append(b.steps, batchStep{rec: r.encode(), kind: jrState, state: next})
+	return b
+}
+
+// record queues a role-specific record (an object binding, a resolve
+// phase) with the effect it licenses.
+func (b *batch) record(r journalRecord, apply func()) *batch {
+	b.steps = append(b.steps, batchStep{rec: r.encode(), kind: r.Kind, apply: apply})
+	return b
+}
+
+// commit journals the queued records as one batch and then applies
+// their effects. It holds ckptMu's read side across both, so a
+// checkpoint can never snapshot between the records and their effects,
+// and the transaction's commit lock, so the tracker check, the journal
+// write and the tracker update are one step against every other
+// commit for the transaction (the expiry reaper's included). On a
+// journal failure nothing is applied and the caller must not ack.
+func (b *batch) commit() error {
+	p := b.p
 	p.ckptMu.RLock()
 	defer p.ckptMu.RUnlock()
-	if err := p.journalAppend(&journalRecord{
-		Kind: jrEvidence, Txn: txn, Aux: uint8(role), Blob: ev.Encode(),
-	}); err != nil {
-		return err
+	mu := p.commitLock(b.txn)
+	mu.Lock()
+	defer mu.Unlock()
+
+	cur, gerr := p.tracker.Get(b.txn)
+	known := gerr == nil
+	recs := make([][]byte, 0, len(b.steps))
+	keep := b.steps[:0]
+	for _, st := range b.steps {
+		if st.kind == jrState {
+			if known && session.Terminal(cur) {
+				if b.stateErr == nil {
+					b.stateErr = fmt.Errorf("%w: %s is %s", session.ErrTxncompleted, b.txn, cur)
+				}
+				continue
+			}
+			cur, known = st.state, true
+		}
+		recs = append(recs, st.rec)
+		keep = append(keep, st)
 	}
-	p.archive.Put(txn, role, ev)
+	b.steps = keep
+	if len(recs) > 0 {
+		if err := p.journalAppend(recs); err != nil {
+			return err
+		}
+	}
+	for _, st := range b.steps {
+		switch {
+		case st.kind == jrEvidence:
+			p.archive.Put(b.txn, st.role, st.ev)
+		case st.kind == jrState:
+			p.applyState(b.txn, st.state)
+		case st.apply != nil:
+			st.apply()
+		}
+	}
 	return nil
 }
 
-// setState journals and applies a tracker transition. The transition is
-// attempted first — an illegal transition (e.g. out of a terminal
-// state) must not be journaled, because replay applies journaled
-// transitions unconditionally. Callers that previously ignored
-// Transition errors keep doing so; the journal mirrors exactly what the
-// tracker accepted.
-//
-// Like putEvidence, the mutate+journal pair is bracketed by ckptMu's
-// read side — a snapshot built mid-pair would capture the transition
-// while the record lands past the checkpoint boundary (harmless), or
-// miss the transition while the record is truncated (lost) depending on
-// interleaving; the bracket forbids both.
-func (p *party) setState(txn string, next session.State) error {
-	p.ckptMu.RLock()
-	defer p.ckptMu.RUnlock()
+// commitShards sizes the striped per-transaction commit lock.
+const commitShards = 64
+
+// commitLock returns the stripe of the commit lock that txn maps to.
+func (p *party) commitLock(txn string) *sync.Mutex {
+	h := uint32(2166136261) // FNV-1a
+	for i := 0; i < len(txn); i++ {
+		h = (h ^ uint32(txn[i])) * 16777619
+	}
+	return &p.commitMu[h%commitShards]
+}
+
+// applyState applies a transition commit has already checked and
+// journaled, with the step-deadline bookkeeping: every accepted
+// transition restamps the transaction's deadline; reaching a terminal
+// state clears it. Only parties configured with WithDeadlinePolicy pay
+// for the deadlines.
+func (p *party) applyState(txn string, next session.State) {
 	if _, err := p.tracker.Get(txn); err != nil {
 		p.tracker.Begin(txn)
 	}
-	if err := p.tracker.Transition(txn, next); err != nil {
-		return err
-	}
-	// Step-deadline bookkeeping: every accepted transition restamps the
-	// transaction's deadline; reaching a terminal state clears it. Only
-	// parties configured with WithDeadlinePolicy pay this.
+	p.tracker.Transition(txn, next)
 	if p.deadline.enabled() {
 		if session.Terminal(next) {
 			p.tracker.ClearDeadline(txn)
@@ -171,7 +264,25 @@ func (p *party) setState(txn string, next session.State) error {
 			p.tracker.SetDeadline(txn, p.clk.Now().Add(p.deadline.Step))
 		}
 	}
-	return p.journalAppend(&journalRecord{Kind: jrState, Txn: txn, Aux: uint8(next)})
+}
+
+// putEvidence journals an evidence item and then archives it — a batch
+// of one, for the steps that have nothing else to make durable with
+// it. On journal failure the item is not archived and the caller must
+// not ack.
+func (p *party) putEvidence(txn string, role evidence.Role, ev *evidence.Evidence) error {
+	return p.newBatch(txn).evidence(role, ev).commit()
+}
+
+// setState journals and applies one tracker transition — a batch of
+// one. It reports the tracker's refusal of a transition out of a
+// terminal state (first-wins for the expiry reaper's abort claim).
+func (p *party) setState(txn string, next session.State) error {
+	b := p.newBatch(txn).state(next)
+	if err := b.commit(); err != nil {
+		return err
+	}
+	return b.stateErr
 }
 
 // RecoveryReport summarizes a journal replay for the operator and the

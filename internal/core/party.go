@@ -172,14 +172,17 @@ type party struct {
 	// Tiered evidence storage. cold is the append-only archive terminal
 	// sessions compact into; archived records which transactions have
 	// been moved (and their terminal state) so recovery can skip their
-	// journal records. ckptMu serialises checkpoints against the
-	// journal+mutate pairs: every handler that appends a journal record
-	// and applies its effect holds the read side across BOTH, so a
-	// snapshot can never capture a state the journal boundary splits.
+	// journal records. ckptMu serialises checkpoints against journal
+	// batches: every batch commit holds the read side across its journal
+	// write AND its effects, so a snapshot can never capture a state the
+	// journal boundary splits.
 	cold     *archive.Store
 	archMu   sync.Mutex
 	archived map[string]session.State
 	ckptMu   sync.RWMutex
+	// commitMu serialises journal batches per transaction (striped):
+	// see batch.commit.
+	commitMu [commitShards]sync.Mutex
 
 	// Per-role hooks into checkpoint/recovery. snapExtra contributes a
 	// (note, flag) pair per live transaction to the snapshot; restore-

@@ -284,32 +284,44 @@ func (b *Provider) handleUpload(h *evidence.Header, ev *evidence.Evidence, data 
 		return b.errorReply(h, "storage error: "+err.Error())
 	}
 	faultpoint.Hit(fpProviderUploadBeforeJournal)
-	// Journal the NRO and the object binding before anything is acked: a
-	// crash past this line leaves the provider bound (it holds Alice's
-	// NRO durably) and recovery must know which blob that binds.
-	if err := b.putEvidence(h.TxnID, evidence.RolePeer, ev); err != nil {
-		return nil, err // no ack; the client times out and resolves
-	}
-	if err := b.journalObject(h.TxnID, h.ObjectKey); err != nil {
-		return nil, err
-	}
-	b.setState(h.TxnID, session.StateEvidenceReceived)
+	// The NRO, the object binding and the states — and, when honest, the
+	// NRR — are journaled in ONE flush before anything is acked: a crash
+	// past that flush leaves the provider bound (it holds Alice's NRO
+	// durably) and recovery knows which blob that binds; a crash before
+	// it leaves nothing that was ever acked.
+	bt := b.newBatch(h.TxnID).evidence(evidence.RolePeer, ev)
+	b.bindObject(bt, h.ObjectKey)
+	bt.state(session.StateEvidenceReceived)
 	b.auditAppend("upload", h.TxnID, fmt.Sprintf("stored %q (%d bytes, md5 %s)", h.ObjectKey, len(data), h.DataMD5.Hex()))
-	faultpoint.Hit(fpProviderUploadBeforeNRR)
 
 	if b.misbehavior().SilentAfterNRO {
 		// Malicious Bob keeps the data and the NRO but withholds the
 		// receipt.
+		if err := bt.commit(); err != nil {
+			return nil, err // no ack; the client times out and resolves
+		}
+		faultpoint.Hit(fpProviderUploadBeforeNRR)
 		return nil, nil
 	}
-	return b.buildNRR(h, auditRootNote(data))
+	msg, err := b.buildNRR(bt, h, auditRootNote(data))
+	if err != nil {
+		return nil, err
+	}
+	faultpoint.Hit(fpProviderUploadBeforeNRR)
+	if err := bt.commit(); err != nil {
+		return nil, err // no ack; the client times out and resolves
+	}
+	b.ctr.Inc(metrics.Rounds, 1)
+	faultpoint.Hit(fpProviderUploadNRRBeforeSend)
+	return msg, nil
 }
 
-// buildNRR constructs the receipt for an upload header and archives
-// the provider's own copy. auditNote, when non-empty, is the signed
-// storage-dwell commitment (audit.RootNote over the object's chunk
-// tree) that later KindAuditChallenge responses must prove against.
-func (b *Provider) buildNRR(h *evidence.Header, auditNote string) (*Message, error) {
+// buildNRR signs the receipt for an upload header and queues the
+// provider's own copy, with the completed state, on bt. auditNote,
+// when non-empty, is the signed storage-dwell commitment
+// (audit.RootNote over the object's chunk tree) that later
+// KindAuditChallenge responses must prove against.
+func (b *Provider) buildNRR(bt *batch, h *evidence.Header, auditNote string) (*Message, error) {
 	senderKey, err := b.peerKey(h.SenderID)
 	if err != nil {
 		return nil, err
@@ -326,19 +338,14 @@ func (b *Provider) buildNRR(h *evidence.Header, auditNote string) (*Message, err
 	if err != nil {
 		return nil, err
 	}
-	if err := b.putEvidence(h.TxnID, evidence.RoleOwn, own); err != nil {
-		return nil, err
-	}
-	b.setState(h.TxnID, session.StateCompleted)
-	b.ctr.Inc(metrics.Rounds, 1)
-	faultpoint.Hit(fpProviderUploadNRRBeforeSend)
+	bt.evidence(evidence.RoleOwn, own).state(session.StateCompleted)
 	return msg, nil
 }
 
 // issueNRR (re)creates the receipt evidence for an upload whose NRO we
-// hold, archiving the provider's own copy. Used by the resolve path
-// when the direct NRR was withheld or lost.
-func (b *Provider) issueNRR(nroHeader *evidence.Header) (*evidence.Evidence, error) {
+// hold and queues the provider's own copy on bt. Used by the resolve
+// path when the direct NRR was withheld or lost.
+func (b *Provider) issueNRR(bt *batch, nroHeader *evidence.Header) (*evidence.Evidence, error) {
 	clientKey, err := b.peerKey(nroHeader.SenderID)
 	if err != nil {
 		return nil, err
@@ -359,9 +366,7 @@ func (b *Provider) issueNRR(nroHeader *evidence.Header) (*evidence.Evidence, err
 	if err != nil {
 		return nil, err
 	}
-	if err := b.putEvidence(nroHeader.TxnID, evidence.RoleOwn, own); err != nil {
-		return nil, err
-	}
+	bt.evidence(evidence.RoleOwn, own)
 	return own, nil
 }
 
@@ -376,9 +381,6 @@ func (b *Provider) handleDownload(h *evidence.Header, ev *evidence.Evidence) (*M
 	if mut := b.misbehavior().TamperOnDownload; mut != nil {
 		data = mut(data)
 	}
-	if err := b.putEvidence(h.TxnID, evidence.RolePeer, ev); err != nil {
-		return nil, err
-	}
 
 	senderKey, err := b.peerKey(h.SenderID)
 	if err != nil {
@@ -392,7 +394,9 @@ func (b *Provider) handleDownload(h *evidence.Header, ev *evidence.Evidence) (*M
 	if err != nil {
 		return nil, err
 	}
-	if err := b.putEvidence(h.TxnID, evidence.RoleOwn, own); err != nil {
+	// The request and the signed receipt over the served bytes: one
+	// flush before the data leaves.
+	if err := b.newBatch(h.TxnID).evidence(evidence.RolePeer, ev).evidence(evidence.RoleOwn, own).commit(); err != nil {
 		return nil, err
 	}
 	b.ctr.Inc(metrics.Rounds, 1)
@@ -406,16 +410,15 @@ func (b *Provider) handleDownload(h *evidence.Header, ev *evidence.Evidence) (*M
 // failing would instead have produced the Error reply inviting a
 // corrected resubmission.
 func (b *Provider) handleAbort(h *evidence.Header, ev *evidence.Evidence) (*Message, error) {
-	if err := b.putEvidence(h.TxnID, evidence.RolePeer, ev); err != nil {
-		return nil, err
-	}
 	senderKey, err := b.peerKey(h.SenderID)
 	if err != nil {
 		return nil, err
 	}
+	bt := b.newBatch(h.TxnID).evidence(evidence.RolePeer, ev)
 	state, serr := b.tracker.Get(h.TxnID)
 	kind := evidence.KindAbortAccept
 	note := "transaction aborted"
+	abort := false
 	switch {
 	case serr != nil:
 		// Unknown transaction: nothing to abort; accepting is safe and
@@ -425,18 +428,8 @@ func (b *Provider) handleAbort(h *evidence.Header, ev *evidence.Evidence) (*Mess
 		kind = evidence.KindAbortReject
 		note = "transaction already completed; abort rejected"
 	default:
-		// Journal the aborted state before dropping the blob: a crash in
-		// between leaves a durable abort that recovery honors by
-		// re-deleting the object, whereas the reverse order would leave a
-		// deleted object behind a transaction recovery still thinks is
-		// live.
-		b.setState(h.TxnID, session.StateAborted)
-		b.txnMu.Lock()
-		objKey := b.txnObject[h.TxnID]
-		b.txnMu.Unlock()
-		if objKey != "" {
-			b.store.Delete(objKey)
-		}
+		abort = true
+		bt.state(session.StateAborted)
 	}
 	rh := b.newHeader(kind, h.TxnID, h.SenderID, h.TTPID, b.bumpSeqTo(h.TxnID, h.Seq))
 	rh.Note = note
@@ -445,8 +438,21 @@ func (b *Provider) handleAbort(h *evidence.Header, ev *evidence.Evidence) (*Mess
 	if err != nil {
 		return nil, err
 	}
-	if err := b.putEvidence(h.TxnID, evidence.RoleOwn, own); err != nil {
+	if err := bt.evidence(evidence.RoleOwn, own).commit(); err != nil {
 		return nil, err
+	}
+	if abort {
+		// The aborted state is durable before the blob is dropped: a
+		// crash in between leaves a durable abort that recovery honors
+		// by re-deleting the object, whereas the reverse order would
+		// leave a deleted object behind a transaction recovery still
+		// thinks is live.
+		b.txnMu.Lock()
+		objKey := b.txnObject[h.TxnID]
+		b.txnMu.Unlock()
+		if objKey != "" {
+			b.store.Delete(objKey)
+		}
 	}
 	b.ctr.Inc(metrics.Aborts, 1)
 	b.auditAppend("abort", h.TxnID, note)
@@ -467,9 +473,7 @@ func (b *Provider) handleResolve(h *evidence.Header, ev *evidence.Evidence, payl
 		// Resolve queries must come through the TTP.
 		return b.errorReply(h, "resolve not sent by TTP")
 	}
-	if err := b.putEvidence(h.TxnID, evidence.RolePeer, ev); err != nil {
-		return nil, err
-	}
+	bt := b.newBatch(h.TxnID).evidence(evidence.RolePeer, ev)
 	ttpKey, err := b.peerKey(h.SenderID)
 	if err != nil {
 		return nil, err
@@ -499,7 +503,7 @@ func (b *Provider) handleResolve(h *evidence.Header, ev *evidence.Evidence, payl
 		// but never issued the NRR — issue it now so the transaction
 		// continues. This is the §4.3 case where Bob's receipt was
 		// withheld or lost.
-		nrr, err := b.issueNRR(nro.Header)
+		nrr, err := b.issueNRR(bt, nro.Header)
 		if err != nil {
 			return b.errorReply(h, "cannot issue receipt: "+err.Error())
 		}
@@ -526,7 +530,9 @@ func (b *Provider) handleResolve(h *evidence.Header, ev *evidence.Evidence, payl
 	if err != nil {
 		return nil, err
 	}
-	if err := b.putEvidence(h.TxnID, evidence.RoleOwn, own); err != nil {
+	// The query, any receipt issued for it and the answer: one flush
+	// before the answer leaves.
+	if err := bt.evidence(evidence.RoleOwn, own).commit(); err != nil {
 		return nil, err
 	}
 	b.ctr.Inc(metrics.Resolves, 1)
@@ -601,20 +607,16 @@ func (b *Provider) Resolve(ctx context.Context, ttpConn transport.Conn, txnID, r
 	return res, nil
 }
 
-// journalObject records the transaction → object-key binding — journal
-// record plus in-memory map, bracketed by ckptMu's read side like every
-// journal+mutate pair — so recovery knows which blob an abort must
-// drop.
-func (b *Provider) journalObject(txn, objectKey string) error {
-	b.ckptMu.RLock()
-	defer b.ckptMu.RUnlock()
-	if err := b.journalAppend(&journalRecord{Kind: jrObject, Txn: txn, Note: objectKey}); err != nil {
-		return err
-	}
-	b.txnMu.Lock()
-	b.txnObject[txn] = objectKey
-	b.txnMu.Unlock()
-	return nil
+// bindObject queues the transaction → object-key binding on bt — the
+// journal record and, once it is durable, the in-memory map entry — so
+// recovery knows which blob an abort must drop.
+func (b *Provider) bindObject(bt *batch, objectKey string) {
+	txn := bt.txn
+	bt.record(journalRecord{Kind: jrObject, Txn: txn, Note: objectKey}, func() {
+		b.txnMu.Lock()
+		b.txnObject[txn] = objectKey
+		b.txnMu.Unlock()
+	})
 }
 
 // Health returns nil while the provider is fully serving, or a named

@@ -185,10 +185,9 @@ func (c *Client) SettleSession(ctx context.Context, conn transport.Conn, session
 		c.ctr.Inc(metrics.AuthFailures, 1)
 		return nil, fmt.Errorf("%w: receipt root does not match this side's evidence", ErrProtocol)
 	}
-	if err := c.putEvidence(sessionID, evidence.RolePeer, rev); err != nil {
+	if err := c.newBatch(sessionID).evidence(evidence.RolePeer, rev).state(session.StateCompleted).commit(); err != nil {
 		return nil, err
 	}
-	c.setState(sessionID, session.StateCompleted)
 	return &SettleResult{SessionID: sessionID, Receipt: r, Tree: tree}, nil
 }
 
@@ -216,11 +215,12 @@ func (b *Provider) handleSettle(h *evidence.Header, ev *evidence.Evidence, paylo
 		}
 		leaves = append(leaves, evidence.LeafDigest(nro))
 	}
-	if err := b.putEvidence(h.TxnID, evidence.RolePeer, ev); err != nil {
-		return nil, err
-	}
+	bt := b.newBatch(h.TxnID).evidence(evidence.RolePeer, ev)
 	r, _, err := evidence.BuildAggregateReceipt(b.signer, h.TxnID, b.id.Name, txns, leaves, b.clk.Now())
 	if err != nil {
+		if err := bt.commit(); err != nil {
+			return nil, err
+		}
 		return b.errorReply(h, "cannot build aggregate receipt: "+err.Error())
 	}
 	enc := r.Encode()
@@ -236,10 +236,9 @@ func (b *Provider) handleSettle(h *evidence.Header, ev *evidence.Evidence, paylo
 	if err != nil {
 		return nil, err
 	}
-	if err := b.putEvidence(h.TxnID, evidence.RoleOwn, own); err != nil {
+	if err := bt.evidence(evidence.RoleOwn, own).state(session.StateCompleted).commit(); err != nil {
 		return nil, err
 	}
-	b.setState(h.TxnID, session.StateCompleted)
 	b.ctr.Inc(metrics.Rounds, 1)
 	b.auditAppend("settle", h.TxnID, fmt.Sprintf("settled %d txns under one receipt", len(txns)))
 	return msg, nil

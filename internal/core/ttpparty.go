@@ -132,34 +132,34 @@ func (t *TTPParty) PutEvidence(txn string, role evidence.Role, ev *evidence.Evid
 	return t.p.putEvidence(txn, role, ev)
 }
 
-// JournalResolveOpen durably records that a resolve procedure was
-// accepted for txn, before the peer query goes out. Journal record and
-// ledger update are bracketed by the checkpoint read-lock like every
-// journal+mutate pair.
-func (t *TTPParty) JournalResolveOpen(txn, note string) error {
-	t.p.ckptMu.RLock()
-	defer t.p.ckptMu.RUnlock()
-	if err := t.p.journalAppend(&journalRecord{Kind: jrResolve, Txn: txn, Aux: jrResolveOpen, Note: note}); err != nil {
-		return err
-	}
-	t.resMu.Lock()
-	t.openRes[txn] = true
-	t.resMu.Unlock()
-	return nil
+// OpenResolve durably records, in one journal flush before the peer
+// query goes out, the claimant's request evidence and the opened
+// resolve; the ledger sees the resolve open once the flush is done.
+func (t *TTPParty) OpenResolve(txn string, claim *evidence.Evidence, note string) error {
+	return t.p.newBatch(txn).evidence(evidence.RolePeer, claim).
+		record(journalRecord{Kind: jrResolve, Txn: txn, Aux: jrResolveOpen, Note: note}, func() {
+			t.resMu.Lock()
+			t.openRes[txn] = true
+			t.resMu.Unlock()
+		}).commit()
 }
 
-// JournalResolveClosed durably records the resolve outcome, before the
-// statement is sent to the claimant.
-func (t *TTPParty) JournalResolveClosed(txn, note string) error {
-	t.p.ckptMu.RLock()
-	defer t.p.ckptMu.RUnlock()
-	if err := t.p.journalAppend(&journalRecord{Kind: jrResolve, Txn: txn, Aux: jrResolveClosed, Note: note}); err != nil {
-		return err
+// CloseResolve durably records, in one journal flush before the
+// statement is sent to the claimant, the peer's answer (nil when the
+// peer did not answer), the TTP's own statement and the closed
+// resolve: once the claimant holds the statement the TTP must be able
+// to reproduce it.
+func (t *TTPParty) CloseResolve(txn string, answer, statement *evidence.Evidence, note string) error {
+	b := t.p.newBatch(txn)
+	if answer != nil {
+		b.evidence(evidence.RolePeer, answer)
 	}
-	t.resMu.Lock()
-	delete(t.openRes, txn)
-	t.resMu.Unlock()
-	return nil
+	return b.evidence(evidence.RoleOwn, statement).
+		record(journalRecord{Kind: jrResolve, Txn: txn, Aux: jrResolveClosed, Note: note}, func() {
+			t.resMu.Lock()
+			delete(t.openRes, txn)
+			t.resMu.Unlock()
+		}).commit()
 }
 
 // Checkpoint compacts settled sessions into the cold archive (when one

@@ -40,8 +40,9 @@ func TestDecodeFrameJunkMagicBounded(t *testing.T) {
 // decoder, which a follower runs on unauthenticated input. It must not
 // panic, and what it accepts must re-encode to exactly the input: the
 // encoding is canonical. The seed corpus (testdata/fuzz/FuzzDecodeFrame)
-// holds one frame of each kind, a truncated append and a magic whose
-// declared length runs past the frame.
+// holds one frame of each kind, a truncated append, an append whose
+// record count runs past the frame and a magic whose declared length
+// runs past the frame.
 func FuzzDecodeFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		fr, err := decodeFrame(b)

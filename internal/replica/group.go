@@ -449,6 +449,10 @@ func (g *Group) tryConnect(f *follower) (transport.Conn, error) {
 // under the WAL lock before the lock is released for the sends.
 const streamBatch = 256
 
+// frameBytes bounds the records one append frame carries; a frame
+// always carries at least one record.
+const frameBytes = 1 << 20
+
 // streamTo pushes the leader journal to f over conn until the stream
 // breaks: catch-up and live tail are the same LSN-ranged read from the
 // follower's acked mark. Records are copied out of the journal in
@@ -488,16 +492,25 @@ func (g *Group) streamTo(f *follower, conn transport.Conn) {
 				f.errs.Inc()
 				return
 			}
-			for i, rec := range recs {
-				lsn := sent + 1 + uint64(i)
+			// The read ends where the leader's last batch ended (a batch is
+			// written under the journal lock the read takes), so each frame
+			// is whole leader batches — the follower flushes once per frame
+			// — unless a batch outgrows the read or frame bound.
+			for i := 0; i < len(recs); {
+				j, size := i+1, len(recs[i])
+				for j < len(recs) && size+len(recs[j]) <= frameBytes {
+					size += len(recs[j])
+					j++
+				}
 				if ferr := faultpoint.HitErr(fpNetPartition); ferr != nil {
 					f.errs.Inc()
 					return
 				}
-				if serr := conn.Send(encodeFrame(&frame{Kind: frAppend, LSN: lsn, Payload: rec})); serr != nil {
+				if serr := conn.Send(encodeFrame(&frame{Kind: frAppend, LSN: sent + 1 + uint64(i), Recs: recs[i:j]})); serr != nil {
 					f.errs.Inc()
 					return
 				}
+				i = j
 			}
 			sent += uint64(len(recs))
 			if len(recs) > 0 || more {

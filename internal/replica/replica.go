@@ -26,7 +26,7 @@
 // Frames are length-delimited transport messages:
 //
 //	hello    follower→leader  durable high-water mark, first frame on a conn
-//	append   leader→follower  one journal record with its LSN
+//	append   leader→follower  consecutive journal records, first LSN
 //	ack      follower→leader  high-water mark after a durable append
 //	probe    leader→follower  liveness + high-water refresh (re-acked)
 //	snapshot leader→follower  checkpoint payload + LSN (compacted catch-up)
@@ -55,7 +55,7 @@ var (
 	fpNetPartition  = faultpoint.Register("replica.net.partition")
 )
 
-const replMagic = "tpnr-repl-v1"
+const replMagic = "tpnr-repl-v2"
 
 // Frame types.
 const (
@@ -66,19 +66,36 @@ const (
 	frSnapshot uint8 = 5
 )
 
-// frame is the decoded form of one replication message.
+// frame is the decoded form of one replication message. An append
+// frame carries Recs — one or more consecutive journal records, the
+// first at LSN — and every other kind carries Payload:
+//
+//	magic | u8 kind | u64 LSN | append: u32 n, n × (u32 len | record)
+//	                          | other:  u32 len | payload
 type frame struct {
 	Kind    uint8
-	LSN     uint64 // hello/ack: high-water mark; append/snapshot: record/boundary LSN
-	Payload []byte // append: journal record; snapshot: checkpoint payload
+	LSN     uint64   // hello/ack: high-water mark; append: first record's LSN; snapshot: boundary LSN
+	Payload []byte   // snapshot: checkpoint payload
+	Recs    [][]byte // append: the records
 }
 
 func encodeFrame(f *frame) []byte {
-	e := wire.NewEncoder(32 + len(f.Payload))
+	n := 32 + len(f.Payload)
+	for _, r := range f.Recs {
+		n += 4 + len(r)
+	}
+	e := wire.NewEncoder(n)
 	e.String(replMagic)
 	e.U8(f.Kind)
 	e.U64(f.LSN)
-	e.Bytes32(f.Payload)
+	if f.Kind == frAppend {
+		e.U32(uint32(len(f.Recs)))
+		for _, r := range f.Recs {
+			e.Bytes32(r)
+		}
+	} else {
+		e.Bytes32(f.Payload)
+	}
 	return e.Bytes()
 }
 
@@ -90,7 +107,20 @@ func decodeFrame(b []byte) (*frame, error) {
 	f := &frame{}
 	f.Kind = d.U8()
 	f.LSN = d.U64()
-	f.Payload = d.Bytes32()
+	if f.Kind == frAppend {
+		// Each record costs at least its 4-byte length, so the count is
+		// checked against what is left before anything is allocated.
+		n := d.U32()
+		if d.Err() == nil && (n == 0 || uint64(n) > uint64(d.Remaining()/4)) {
+			return nil, fmt.Errorf("replica: malformed frame: append of %d records", n)
+		}
+		f.Recs = make([][]byte, 0, n)
+		for i := uint32(0); i < n && d.Err() == nil; i++ {
+			f.Recs = append(f.Recs, d.Bytes32())
+		}
+	} else {
+		f.Payload = d.Bytes32()
+	}
 	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("replica: malformed frame: %v", err)
 	}
@@ -135,23 +165,31 @@ func NewFollower(w *wal.WAL) *Follower { return &Follower{w: w} }
 // HW reports the follower's durable high-water mark (its journal LSN).
 func (f *Follower) HW() uint64 { return f.w.LSN() }
 
-// applyAppend applies one leader append under f.mu — the check of the
-// current mark and the conditional Append are one atomic step — and
-// returns the resulting durable high-water mark. Duplicates (leader
-// resend window) and gaps (out-of-order arrival) are not applied; the
-// returned mark re-acks the current position so the leader resumes
-// from there.
+// applyAppend applies one leader append frame under f.mu — the check
+// of the current mark and the conditional append are one atomic step —
+// and returns the resulting durable high-water mark. The frame's new
+// records are appended as one journal batch: one write and one flush
+// before the ack, however many records the leader's batch held.
+// Records the follower already holds (leader resend window) are
+// skipped; a frame that starts past the mark (a gap) is not applied,
+// and the returned mark re-acks the current position so the leader
+// resumes from there.
 func (f *Follower) applyAppend(fr *frame) (uint64, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	hw := f.w.LSN()
-	if fr.LSN == hw+1 {
-		if err := f.w.Append(fr.Payload); err != nil {
-			return hw, fmt.Errorf("replica: applying LSN %d: %w", fr.LSN, err)
-		}
-		return fr.LSN, nil
+	if fr.LSN == 0 || fr.LSN > hw+1 {
+		return hw, nil
 	}
-	return hw, nil
+	skip := hw + 1 - fr.LSN
+	if skip >= uint64(len(fr.Recs)) {
+		return hw, nil
+	}
+	lsn, err := f.w.AppendBatch(fr.Recs[skip:])
+	if err != nil {
+		return hw, fmt.Errorf("replica: applying LSN %d: %w", hw+1, err)
+	}
+	return lsn, nil
 }
 
 // applySnapshot installs a leader checkpoint under f.mu and returns

@@ -462,7 +462,7 @@ func TestConcurrentServeConnSerialized(t *testing.T) {
 			defer senders.Done()
 			for lsn := 1; lsn <= n; lsn++ {
 				rec := []byte(fmt.Sprintf("rec-%d", lsn))
-				if err := c.Send(encodeFrame(&frame{Kind: frAppend, LSN: uint64(lsn), Payload: rec})); err != nil {
+				if err := c.Send(encodeFrame(&frame{Kind: frAppend, LSN: uint64(lsn), Recs: [][]byte{rec}})); err != nil {
 					t.Errorf("send LSN %d: %v", lsn, err)
 					return
 				}
@@ -510,4 +510,122 @@ func TestAsyncQuorumOne(t *testing.T) {
 		}
 	}
 	waitFor(t, "async convergence", g.Converged)
+}
+
+// TestFollowerAppliesBatch: a follower applies one append frame — one
+// leader batch — with one journal flush before its ack, skips the
+// records it already holds, and does not apply a frame past a gap.
+func TestFollowerAppliesBatch(t *testing.T) {
+	leakcheck.At(t)
+	fw := openWAL(t, t.TempDir())
+	f := NewFollower(fw)
+	leader, remote := transport.Pipe(0)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f.ServeConn(remote)
+	}()
+	defer func() { leader.Close(); <-done }()
+	recv := func() uint64 {
+		t.Helper()
+		raw, err := leader.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fr, err := decodeFrame(raw)
+		if err != nil || (fr.Kind != frAck && fr.Kind != frHello) {
+			t.Fatalf("follower sent %+v, %v", fr, err)
+		}
+		return fr.LSN
+	}
+	recs := func(from, to int) [][]byte {
+		var out [][]byte
+		for i := from; i <= to; i++ {
+			out = append(out, []byte(fmt.Sprintf("rec-%d", i)))
+		}
+		return out
+	}
+	send := func(first int, rs [][]byte) {
+		t.Helper()
+		if err := leader.Send(encodeFrame(&frame{Kind: frAppend, LSN: uint64(first), Recs: rs})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if hw := recv(); hw != 0 {
+		t.Fatalf("hello mark %d, want 0", hw)
+	}
+	steps := []struct {
+		name      string
+		first     int
+		recs      [][]byte
+		ack       uint64
+		newSyncs  uint64
+		journaled int
+	}{
+		{"a three-record batch", 1, recs(1, 3), 3, 1, 3},
+		{"a resend overlapping the mark", 2, recs(2, 4), 4, 1, 4},
+		{"a duplicate", 3, recs(3, 4), 4, 0, 4},
+		{"a gap", 6, recs(6, 6), 4, 0, 4},
+	}
+	for _, s := range steps {
+		syncs := fw.Syncs()
+		send(s.first, s.recs)
+		if got := recv(); got != s.ack {
+			t.Fatalf("%s: ack %d, want %d", s.name, got, s.ack)
+		}
+		if got := fw.Syncs() - syncs; got != s.newSyncs {
+			t.Fatalf("%s: %d flushes, want %d", s.name, got, s.newSyncs)
+		}
+		if fw.Records() != s.journaled {
+			t.Fatalf("%s: follower holds %d records, want %d", s.name, fw.Records(), s.journaled)
+		}
+	}
+}
+
+// TestFollowerBatchesFromConcurrentLeader: leader batches appended and
+// replicated from many goroutines reach every follower whole and in
+// leader order, each acked only after the follower's flush.
+func TestFollowerBatchesFromConcurrentLeader(t *testing.T) {
+	leakcheck.At(t)
+	c := newCluster(t, 2)
+	g := NewGroup(c.leader, c.dialers, fastOpts("batches"))
+	defer g.Close()
+	const writers, batches = 4, 10
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for b := 0; b < batches; b++ {
+				tag := fmt.Sprintf("%d/%d/", w, b)
+				lsn, err := c.leader.AppendBatch([][]byte{[]byte(tag + "0"), []byte(tag + "1"), []byte(tag + "2")})
+				if err == nil {
+					err = g.Replicate(lsn)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	waitFor(t, "convergence", g.Converged)
+	var want [][]byte
+	c.leader.Replay(func(rec []byte) error { want = append(want, rec); return nil })
+	for i, fw := range c.followers {
+		var got [][]byte
+		fw.Replay(func(rec []byte) error { got = append(got, rec); return nil })
+		if len(got) != len(want) {
+			t.Fatalf("follower %d holds %d records, leader %d", i, len(got), len(want))
+		}
+		for j := range want {
+			if !bytes.Equal(got[j], want[j]) {
+				t.Fatalf("follower %d record %d = %q, leader %q", i, j, got[j], want[j])
+			}
+		}
+		if s := fw.Syncs(); s > writers*batches {
+			t.Fatalf("follower %d flushed %d times for %d leader batches", i, s, writers*batches)
+		}
+	}
 }

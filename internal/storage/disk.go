@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/cryptoutil"
+	"repro/internal/fsys"
 )
 
 // Disk is a Store persisting each object as a data file plus a JSON
@@ -20,19 +21,25 @@ import (
 // version history.
 type Disk struct {
 	root string
+	fs   fsys.FS
 	mu   sync.Mutex
 	now  func() time.Time
 }
 
 // NewDisk opens (creating if needed) a disk store rooted at dir.
 func NewDisk(dir string, now func() time.Time) (*Disk, error) {
+	return NewDiskFS(fsys.OS, dir, now)
+}
+
+// NewDiskFS is NewDisk on the given file system.
+func NewDiskFS(fs fsys.FS, dir string, now func() time.Time) (*Disk, error) {
 	if now == nil {
 		now = time.Now
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := fs.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("storage: creating root %s: %w", dir, err)
 	}
-	return &Disk{root: dir, now: now}, nil
+	return &Disk{root: dir, fs: fs, now: now}, nil
 }
 
 type diskMeta struct {
@@ -86,12 +93,22 @@ func (d *Disk) Put(key string, data []byte, wantMD5 cryptoutil.Digest) (Object, 
 	return obj, nil
 }
 
-// writeLocked persists blob and metadata via write-to-temp + rename so
-// a crash mid-write can never leave a new blob paired with stale
-// metadata (which would be indistinguishable from insider tampering).
+// writeLocked persists blob and metadata, each via write-to-temp +
+// fsync + rename, then fsyncs the root directory once so both renames
+// are durable before Put returns — and so before the provider journals
+// the batch that binds the blob and sends the receipt. Without that
+// sync a power loss after the receipt left could bring back the
+// previous directory entries: the object would read as its previous
+// version.
+//
+// The two renames are not one atomic step. A crash between them (or
+// one that keeps only one of them, before the directory sync) leaves
+// the new blob beside the previous metadata, or the reverse. No
+// receipt binds that state: Put has not returned, so the upload that
+// was writing it was never acknowledged, and its client resolves it.
 func (d *Disk) writeLocked(obj Object) error {
 	dataPath, metaPath := d.paths(obj.Key)
-	if err := atomicWrite(dataPath, obj.Data); err != nil {
+	if err := d.atomicWrite(dataPath, obj.Data); err != nil {
 		return fmt.Errorf("storage: writing blob %q: %w", obj.Key, err)
 	}
 	meta := diskMeta{Key: obj.Key, MD5Hex: obj.StoredMD5.Hex(), Version: obj.Version, StoredAt: obj.StoredAt}
@@ -99,36 +116,39 @@ func (d *Disk) writeLocked(obj Object) error {
 	if err != nil {
 		return fmt.Errorf("storage: encoding metadata for %q: %w", obj.Key, err)
 	}
-	if err := atomicWrite(metaPath, raw); err != nil {
+	if err := d.atomicWrite(metaPath, raw); err != nil {
 		return fmt.Errorf("storage: writing metadata for %q: %w", obj.Key, err)
+	}
+	if err := d.fs.SyncDir(d.root); err != nil {
+		return fmt.Errorf("storage: syncing %s: %w", d.root, err)
 	}
 	return nil
 }
 
-// atomicWrite writes data to a temp file in the same directory, syncs,
-// and renames it over path.
-func atomicWrite(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
+// atomicWrite writes data to path's temp sibling, syncs, and renames
+// it over path. Callers hold d.mu, so one temp name per path is enough.
+func (d *Disk) atomicWrite(path string, data []byte) error {
+	tmpName := path + ".tmp"
+	tmp, err := d.fs.OpenFile(tmpName, os.O_WRONLY|os.O_CREATE|os.O_TRUNC)
 	if err != nil {
 		return err
 	}
-	tmpName := tmp.Name()
 	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
-		os.Remove(tmpName)
+		d.fs.Remove(tmpName)
 		return err
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
-		os.Remove(tmpName)
+		d.fs.Remove(tmpName)
 		return err
 	}
 	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
+		d.fs.Remove(tmpName)
 		return err
 	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
+	if err := d.fs.Rename(tmpName, path); err != nil {
+		d.fs.Remove(tmpName)
 		return err
 	}
 	return nil
@@ -136,7 +156,7 @@ func atomicWrite(path string, data []byte) error {
 
 func (d *Disk) readMetaLocked(key string) (diskMeta, error) {
 	_, metaPath := d.paths(key)
-	raw, err := os.ReadFile(metaPath)
+	raw, err := d.fs.ReadFile(metaPath)
 	if err != nil {
 		return diskMeta{}, fmt.Errorf("%w: %q", ErrNotFound, key)
 	}
@@ -156,7 +176,7 @@ func (d *Disk) Get(key string) (Object, error) {
 		return Object{}, err
 	}
 	dataPath, _ := d.paths(key)
-	data, err := os.ReadFile(dataPath)
+	data, err := d.fs.ReadFile(dataPath)
 	if err != nil {
 		return Object{}, fmt.Errorf("%w: %q (blob missing)", ErrNotFound, key)
 	}
@@ -172,13 +192,13 @@ func (d *Disk) Delete(key string) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	dataPath, metaPath := d.paths(key)
-	if _, err := os.Stat(metaPath); err != nil {
+	if _, err := d.fs.ReadFile(metaPath); err != nil {
 		return fmt.Errorf("%w: %q", ErrNotFound, key)
 	}
-	if err := os.Remove(dataPath); err != nil && !os.IsNotExist(err) {
+	if err := d.fs.Remove(dataPath); err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("storage: deleting blob %q: %w", key, err)
 	}
-	if err := os.Remove(metaPath); err != nil {
+	if err := d.fs.Remove(metaPath); err != nil {
 		return fmt.Errorf("storage: deleting metadata %q: %w", key, err)
 	}
 	return nil
@@ -188,13 +208,12 @@ func (d *Disk) Delete(key string) error {
 func (d *Disk) Keys() []string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	entries, err := os.ReadDir(d.root)
+	names, err := d.fs.ReadDir(d.root)
 	if err != nil {
 		return nil
 	}
 	var out []string
-	for _, e := range entries {
-		name := e.Name()
+	for _, name := range names {
 		if !strings.HasSuffix(name, ".meta") {
 			continue
 		}
@@ -215,7 +234,7 @@ func (d *Disk) Tamper(key string, fixDigest bool, mutate func([]byte) []byte) er
 		return err
 	}
 	dataPath, _ := d.paths(key)
-	data, err := os.ReadFile(dataPath)
+	data, err := d.fs.ReadFile(dataPath)
 	if err != nil {
 		return fmt.Errorf("%w: %q", ErrNotFound, key)
 	}

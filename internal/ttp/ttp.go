@@ -126,40 +126,37 @@ func (s *Server) handleResolve(m *core.Message) (*core.Message, error) {
 		return nil, err
 	}
 	if h.Kind != evidence.KindResolveRequest {
-		return s.statement(h, "unsupported request kind "+h.Kind.String(), nil)
+		return s.statement(h, "unsupported request kind "+h.Kind.String(), nil, nil)
 	}
 	// Verify the genuineness of the claim: the embedded original
 	// evidence must verify under the claimant's key and belong to the
 	// claimed transaction.
 	if len(m.Payload) == 0 {
-		return s.statement(h, "resolve request carries no evidence", nil)
+		return s.statement(h, "resolve request carries no evidence", nil, nil)
 	}
 	claimed, err := evidence.Decode(m.Payload)
 	if err != nil {
-		return s.statement(h, "resolve evidence malformed", nil)
+		return s.statement(h, "resolve evidence malformed", nil, nil)
 	}
 	claimantKey, err := s.PeerPublicKey(h.SenderID)
 	if err != nil {
 		return nil, err
 	}
 	if claimed.Header.SenderID != h.SenderID || claimed.Header.TxnID != h.TxnID {
-		return s.statement(h, "resolve evidence does not match claim", nil)
+		return s.statement(h, "resolve evidence does not match claim", nil, nil)
 	}
 	// Claimants resubmit the same original evidence on every resolve
 	// retry; the cache turns the repeat RSA verifies into hash lookups.
 	if err := claimed.VerifyCachedWith(claimantKey, s.VerifyCache()); err != nil {
 		s.Counters().Inc(metrics.AuthFailures, 1)
-		return s.statement(h, "resolve evidence does not verify", nil)
+		return s.statement(h, "resolve evidence does not verify", nil, nil)
 	}
-	// Journal the accepted claim and the opened resolve before the peer
-	// query: if the TTP dies mid-resolve, the restarted daemon knows the
-	// claimant is owed a statement and holds the evidence to answer a
-	// retry.
-	if err := s.PutEvidence(h.TxnID, evidence.RolePeer, ev); err != nil {
+	// Journal the accepted claim and the opened resolve, in one flush,
+	// before the peer query: if the TTP dies mid-resolve, the restarted
+	// daemon knows the claimant is owed a statement and holds the
+	// evidence to answer a retry.
+	if err := s.OpenResolve(h.TxnID, ev, "claim by "+h.SenderID); err != nil {
 		return nil, err // no reply; the claimant retries
-	}
-	if err := s.JournalResolveOpen(h.TxnID, "claim by "+h.SenderID); err != nil {
-		return nil, err
 	}
 	s.Counters().Inc(metrics.Resolves, 1)
 	s.auditAppend("resolve-open", h.TxnID, "claim by "+h.SenderID)
@@ -167,18 +164,19 @@ func (s *Server) handleResolve(m *core.Message) (*core.Message, error) {
 
 	// Identify the counterparty from the claimant's evidence.
 	peerID := claimed.Header.RecipientID
-	peerReply, peerEv, note := s.queryPeer(h, peerID, m.Payload)
-	if peerReply == nil {
+	answer, relayed, note := s.queryPeer(h, peerID, m.Payload)
+	if answer == nil {
 		// Peer unresponsive: issue the signed failure statement.
-		return s.statement(h, note, nil)
+		return s.statement(h, note, nil, nil)
 	}
-	return s.statement(h, note, peerEv)
+	return s.statement(h, note, answer, relayed)
 }
 
 // queryPeer forwards a timestamped resolve query to the counterparty
-// and awaits its answer. Returns the raw reply (nil on timeout or
-// failure), the peer's relayed evidence bytes, and the outcome note.
-func (s *Server) queryPeer(h *evidence.Header, peerID string, claimPayload []byte) ([]byte, []byte, string) {
+// and awaits its answer. Returns the peer's authenticated answer (nil
+// on timeout or failure), the evidence bytes it relays, and the
+// outcome note.
+func (s *Server) queryPeer(h *evidence.Header, peerID string, claimPayload []byte) (*evidence.Evidence, []byte, string) {
 	// The dial and the peer wait are bounded by the response timeout,
 	// not a caller context: §4.3 requires the TTP to answer the
 	// claimant in bounded time.
@@ -222,20 +220,19 @@ func (s *Server) queryPeer(h *evidence.Header, peerID string, claimPayload []byt
 	if err != nil || rh.Kind != evidence.KindResolveResponse {
 		return nil, nil, "peer-invalid-reply"
 	}
-	if err := s.PutEvidence(h.TxnID, evidence.RolePeer, rev); err != nil {
-		return nil, nil, "internal-error"
-	}
 	// A relayed NRR carrying a storage-dwell commitment makes this
 	// session auditable by the TTP from now on (DESIGN.md §14).
 	s.recordAuditable(h.TxnID, rm.Payload)
 	// Relay the peer's embedded evidence (its NRR) onward; the peer's
-	// action note travels with the statement.
-	return raw, rm.Payload, rh.Note
+	// action note travels with the statement, and its answer is
+	// journaled with the statement.
+	return rev, rm.Payload, rh.Note
 }
 
 // statement builds the TTP's signed response to the requester,
-// optionally relaying peer evidence in the payload.
-func (s *Server) statement(h *evidence.Header, note string, relayed []byte) (*core.Message, error) {
+// optionally relaying peer evidence in the payload; answer, when not
+// nil, is the peer's authenticated answer the relay came from.
+func (s *Server) statement(h *evidence.Header, note string, answer *evidence.Evidence, relayed []byte) (*core.Message, error) {
 	requesterKey, err := s.PeerPublicKey(h.SenderID)
 	if err != nil {
 		return nil, err
@@ -247,12 +244,10 @@ func (s *Server) statement(h *evidence.Header, note string, relayed []byte) (*co
 	if err != nil {
 		return nil, err
 	}
-	// Journal the statement and the close before replying: once the
-	// claimant holds the statement the TTP must be able to reproduce it.
-	if err := s.PutEvidence(h.TxnID, evidence.RoleOwn, own); err != nil {
-		return nil, err
-	}
-	if err := s.JournalResolveClosed(h.TxnID, note); err != nil {
+	// Journal the peer's answer, the statement and the close in one
+	// flush before replying: once the claimant holds the statement the
+	// TTP must be able to reproduce it.
+	if err := s.CloseResolve(h.TxnID, answer, own, note); err != nil {
 		return nil, err
 	}
 	s.auditAppend("resolve-close", h.TxnID, note)

@@ -79,8 +79,8 @@ func encodeCheckpoint(ck *Checkpoint) []byte {
 // readCheckpointFile parses and validates one checkpoint file. Any
 // damage — short file, bad magic, CRC mismatch, malformed body — is an
 // error; the caller discards the file and falls back.
-func readCheckpointFile(path string) (*Checkpoint, error) {
-	b, err := os.ReadFile(path)
+func (w *WAL) readCheckpointFile(path string) (*Checkpoint, error) {
+	b, err := w.fs.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
@@ -115,15 +115,18 @@ func (w *WAL) ckptPath(tailSeg int) string {
 // Checkpoint makes state the journal's durable snapshot and compacts
 // the segments it covers. The sequence is crash-safe at every step:
 //
-//  1. flush and fsync everything appended so far (the snapshot must not
-//     claim records that are not durable);
+//  1. fsync whatever was appended but is not yet durable (the snapshot
+//     must not claim records that are not durable; under SyncAlways
+//     nothing is pending and no fsync is issued);
 //  2. rotate to a fresh segment, so the snapshot boundary is a segment
 //     boundary;
 //  3. write the checkpoint file via tmp + fsync + rename + dir fsync —
 //     a crash leaves either the old snapshot or the new one, never a
 //     half-written current one;
-//  4. truncate segments older than the boundary — a crash mid-way
-//     leaves extra covered segments that the next Open removes.
+//  4. truncate segments older than the boundary — a crash mid-way, or
+//     one that loses the unsynced removals, leaves covered segments
+//     that the next Open removes, so the removals need no directory
+//     sync.
 //
 // The previous checkpoint file is retained as the fall-back for a torn
 // current one; older files are pruned. Returns the snapshot LSN.
@@ -148,7 +151,7 @@ func (w *WAL) Checkpoint(state []byte) (uint64, error) {
 	if w.closed {
 		return 0, ErrClosed
 	}
-	if err := w.fsyncLocked(); err != nil {
+	if err := w.flushPendingLocked(); err != nil {
 		return 0, fmt.Errorf("wal: checkpoint fsync: %w", err)
 	}
 	snapLSN := w.lsn
@@ -184,10 +187,12 @@ func (w *WAL) Checkpoint(state []byte) (uint64, error) {
 
 // writeCheckpointFile stages, fsyncs and atomically publishes one
 // checkpoint file, then fsyncs the directory so the rename survives a
-// crash. Callers hold w.mu.
+// crash; a failed directory sync poisons the journal and is returned,
+// so the caller never truncates behind a rename that may be lost.
+// Callers hold w.mu.
 func (w *WAL) writeCheckpointFile(ck *Checkpoint) error {
 	tmp := filepath.Join(w.dir, ckptTmp)
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := w.fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC)
 	if err != nil {
 		return fmt.Errorf("wal: staging checkpoint: %w", err)
 	}
@@ -203,12 +208,11 @@ func (w *WAL) writeCheckpointFile(ck *Checkpoint) error {
 		return fmt.Errorf("wal: closing checkpoint: %w", err)
 	}
 	faultpoint.Hit(fpCheckpointPreRename)
-	if err := os.Rename(tmp, w.ckptPath(ck.TailSeg)); err != nil {
+	if err := w.fs.Rename(tmp, w.ckptPath(ck.TailSeg)); err != nil {
 		return fmt.Errorf("wal: publishing checkpoint: %w", err)
 	}
-	if d, err := os.Open(w.dir); err == nil {
-		d.Sync()
-		d.Close()
+	if err := w.syncDir(); err != nil {
+		return err
 	}
 	faultpoint.Hit(fpCheckpointPostRename)
 	return nil
@@ -224,7 +228,7 @@ func (w *WAL) pruneCheckpoints(cur, prev *Checkpoint) {
 	}
 	for _, tailSeg := range w.checkpointFiles() {
 		if !keep[tailSeg] {
-			os.Remove(w.ckptPath(tailSeg))
+			w.fs.Remove(w.ckptPath(tailSeg))
 		}
 	}
 }
@@ -232,14 +236,14 @@ func (w *WAL) pruneCheckpoints(cur, prev *Checkpoint) {
 // checkpointFiles lists on-disk checkpoint tail-segment indices in
 // ascending order.
 func (w *WAL) checkpointFiles() []int {
-	ents, err := os.ReadDir(w.dir)
+	names, err := w.fs.ReadDir(w.dir)
 	if err != nil {
 		return nil
 	}
 	var out []int
-	for _, e := range ents {
+	for _, name := range names {
 		var idx int
-		if _, err := fmt.Sscanf(e.Name(), ckptFmt, &idx); err == nil {
+		if _, err := fmt.Sscanf(name, ckptFmt, &idx); err == nil {
 			out = append(out, idx)
 		}
 	}
@@ -249,8 +253,11 @@ func (w *WAL) checkpointFiles() []int {
 
 // truncateCoveredLocked removes segments fully covered by the snapshot
 // pointing at tailSeg. The checkpoint file is already durable, so a
-// crash anywhere in here merely leaves covered segments behind for the
-// next Open to finish removing. Callers hold w.mu.
+// crash anywhere in here — or one that loses removals the directory
+// never synced — merely leaves covered segments behind for the next
+// Open to finish removing; no directory sync is needed, and the
+// crash-state enumerator (internal/crashenum) shows none carries load.
+// Callers hold w.mu.
 func (w *WAL) truncateCoveredLocked(tailSeg int) error {
 	segs, err := w.segments()
 	if err != nil {
@@ -260,16 +267,12 @@ func (w *WAL) truncateCoveredLocked(tailSeg int) error {
 		if idx >= tailSeg {
 			break
 		}
-		if err := os.Remove(w.segPath(idx)); err != nil {
+		if err := w.fs.Remove(w.segPath(idx)); err != nil {
 			return fmt.Errorf("wal: truncating covered segment: %w", err)
 		}
 		delete(w.segBytes, idx)
 		walCompactedSegs.Inc()
 		faultpoint.Hit(fpCompactMidTruncate)
-	}
-	if d, err := os.Open(w.dir); err == nil {
-		d.Sync()
-		d.Close()
 	}
 	return nil
 }
@@ -289,9 +292,9 @@ func (w *WAL) loadCheckpoint(segs []int) {
 	files := w.checkpointFiles()
 	for i := len(files) - 1; i >= 0; i-- {
 		path := w.ckptPath(files[i])
-		ck, err := readCheckpointFile(path)
+		ck, err := w.readCheckpointFile(path)
 		if err != nil {
-			os.Remove(path)
+			w.fs.Remove(path)
 			walCkptDiscarded.Inc()
 			continue
 		}

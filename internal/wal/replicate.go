@@ -146,7 +146,7 @@ func (w *WAL) readSegmentAt(seg int, b []byte, off int64) error {
 	f := w.f
 	if seg != w.segIndex {
 		var err error
-		if f, err = os.Open(w.segPath(seg)); err != nil {
+		if f, err = w.fs.OpenFile(w.segPath(seg), os.O_RDONLY); err != nil {
 			return fmt.Errorf("wal: opening segment for read: %w", err)
 		}
 		defer f.Close()
@@ -183,7 +183,7 @@ func (w *WAL) InstallSnapshot(state []byte, lsn uint64) error {
 	if w.closed {
 		return ErrClosed
 	}
-	if err := w.fsyncLocked(); err != nil {
+	if err := w.flushPendingLocked(); err != nil {
 		return fmt.Errorf("wal: snapshot-install fsync: %w", err)
 	}
 	// Rotate so the installed boundary is a segment boundary, exactly

@@ -35,6 +35,7 @@ import (
 	"sync"
 
 	"repro/internal/faultpoint"
+	"repro/internal/fsys"
 )
 
 // fpAppendENOSPC injects a disk-full/EIO failure at the head of Append
@@ -125,6 +126,8 @@ type Options struct {
 	// flush before writing, trading a little latency for a cap on
 	// commit-group size. Other policies ignore it.
 	BatchSize int
+	// FS is the file system the journal lives on (nil means fsys.OS).
+	FS fsys.FS
 }
 
 // WAL is an append-only crash-safe record journal. Safe for concurrent
@@ -133,10 +136,11 @@ type WAL struct {
 	mu  sync.Mutex
 	dir string
 	opt Options
+	fs  fsys.FS
 
-	f        *os.File // current (highest) segment, positioned at its end
-	segIndex int      // index of the current segment
-	segSize  int64    // bytes written to the current segment
+	f        fsys.File // current (highest) segment, positioned at its end
+	segIndex int       // index of the current segment
+	segSize  int64     // bytes written to the current segment
 
 	records   int // records appended + replayed-intact at Open
 	sinceSync int
@@ -205,13 +209,16 @@ func Open(dir string, opt Options) (*WAL, error) {
 	if opt.Policy == SyncBatch && opt.BatchSize <= 0 {
 		opt.BatchSize = 16
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	w := &WAL{dir: dir, opt: opt, fs: opt.FS, segBytes: make(map[int]int64)}
+	if w.fs == nil {
+		w.fs = fsys.OS
+	}
+	if err := w.fs.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("wal: creating %s: %w", dir, err)
 	}
-	w := &WAL{dir: dir, opt: opt, segBytes: make(map[int]int64)}
 	// A tmp file here is a checkpoint that never got renamed into place
 	// — the snapshot it staged simply did not happen.
-	os.Remove(filepath.Join(dir, ckptTmp))
+	w.fs.Remove(filepath.Join(dir, ckptTmp))
 
 	segs, err := w.segments()
 	if err != nil {
@@ -246,7 +253,7 @@ func Open(dir string, opt Options) (*WAL, error) {
 	}
 	for i, idx := range segs {
 		last := i == len(segs)-1
-		b, err := os.ReadFile(w.segPath(idx))
+		b, err := w.fs.ReadFile(w.segPath(idx))
 		if err != nil {
 			return nil, fmt.Errorf("wal: reading segment: %w", err)
 		}
@@ -260,13 +267,13 @@ func Open(dir string, opt Options) (*WAL, error) {
 		w.segBytes[idx] = end
 		if last {
 			if end < int64(len(b)) {
-				if err := os.Truncate(w.segPath(idx), end); err != nil {
+				if err := w.fs.Truncate(w.segPath(idx), end); err != nil {
 					return nil, fmt.Errorf("wal: truncating torn tail: %w", err)
 				}
 				w.truncated = true
 				walTornTails.Inc()
 			}
-			f, err := os.OpenFile(w.segPath(idx), os.O_RDWR, 0o644)
+			f, err := w.fs.OpenFile(w.segPath(idx), os.O_RDWR)
 			if err != nil {
 				return nil, fmt.Errorf("wal: opening segment: %w", err)
 			}
@@ -288,14 +295,14 @@ func Open(dir string, opt Options) (*WAL, error) {
 
 // segments lists existing segment indices in ascending order.
 func (w *WAL) segments() ([]int, error) {
-	ents, err := os.ReadDir(w.dir)
+	names, err := w.fs.ReadDir(w.dir)
 	if err != nil {
 		return nil, fmt.Errorf("wal: reading %s: %w", w.dir, err)
 	}
 	var out []int
-	for _, e := range ents {
+	for _, name := range names {
 		var idx int
-		if _, err := fmt.Sscanf(e.Name(), segFmt, &idx); err == nil {
+		if _, err := fmt.Sscanf(name, segFmt, &idx); err == nil {
 			out = append(out, idx)
 		}
 	}
@@ -311,7 +318,7 @@ func segName(idx int) string { return fmt.Sprintf(segFmt, idx) }
 
 // newSegment creates segment idx with its header and makes it current.
 func (w *WAL) newSegment(idx int) error {
-	f, err := os.OpenFile(w.segPath(idx), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+	f, err := w.fs.OpenFile(w.segPath(idx), os.O_RDWR|os.O_CREATE|os.O_EXCL)
 	if err != nil {
 		return fmt.Errorf("wal: creating segment: %w", err)
 	}
@@ -325,9 +332,9 @@ func (w *WAL) newSegment(idx int) error {
 	}
 	// Persist the directory entry so the segment itself survives a
 	// crash right after rotation.
-	if d, err := os.Open(w.dir); err == nil {
-		d.Sync()
-		d.Close()
+	if err := w.syncDir(); err != nil {
+		f.Close()
+		return err
 	}
 	w.f, w.segIndex, w.segSize = f, idx, int64(len(segMagic))
 	w.segBytes[idx] = w.segSize
@@ -386,8 +393,8 @@ func scanSegment(b []byte, seg int, last bool, fn func(off int64, rec []byte) er
 	return off, nil
 }
 
-// recBufPool recycles record-framing buffers: header + payload are
-// assembled into one pooled buffer so each record costs a single
+// recBufPool recycles record-framing buffers: every record of an
+// append is framed into one pooled buffer, so an append costs a single
 // write(2) and zero per-append allocations.
 var recBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
@@ -408,6 +415,22 @@ func (w *WAL) Append(payload []byte) error {
 // followers to durably ack THIS record (calling LSN() after Append
 // would race with other appenders).
 func (w *WAL) AppendLSN(payload []byte) (uint64, error) {
+	one := [1][]byte{payload}
+	return w.AppendBatch(one[:])
+}
+
+// AppendBatch appends recs as consecutive records — each keeps its own
+// length and CRC frame, so the segment format is exactly that of
+// len(recs) single appends — with one write(2) and one application of
+// the sync policy, and returns the LSN of the last one. It is how a
+// protocol step journals everything it must make durable before its
+// message leaves: one flush per step instead of one per record.
+//
+// A crash can tear the write anywhere; Open keeps the intact prefix of
+// the batch (a CRC stops the scan at the first damaged record), which
+// is a state the records' writer passed through on its way to the
+// flush, never one it acknowledged.
+func (w *WAL) AppendBatch(recs [][]byte) (uint64, error) {
 	if err := faultpoint.HitErr(fpAppendENOSPC); err != nil {
 		err = fmt.Errorf("wal: appending record: %w", err)
 		w.mu.Lock()
@@ -415,15 +438,23 @@ func (w *WAL) AppendLSN(payload []byte) (uint64, error) {
 		w.mu.Unlock()
 		return 0, err
 	}
-	if len(payload) > MaxRecordSize {
-		return 0, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(payload))
+	if len(recs) == 0 {
+		return 0, errors.New("wal: empty batch")
 	}
 	bp := recBufPool.Get().(*[]byte)
-	buf := append((*bp)[:0], 0, 0, 0, 0, 0, 0, 0, 0)
-	binary.BigEndian.PutUint32(buf[:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(buf[4:recHeaderLen], crc32.ChecksumIEEE(payload))
-	buf = append(buf, payload...)
+	buf := (*bp)[:0]
+	for _, payload := range recs {
+		if len(payload) > MaxRecordSize {
+			*bp = buf[:0]
+			recBufPool.Put(bp)
+			return 0, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(payload))
+		}
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
+		buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
+		buf = append(buf, payload...)
+	}
 	defer func() { *bp = buf[:0]; recBufPool.Put(bp) }()
+	n := uint64(len(recs))
 
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -438,10 +469,11 @@ func (w *WAL) AppendLSN(payload []byte) (uint64, error) {
 			return 0, w.syncErr
 		}
 		// Max-batch backpressure: while a flush is in flight and the
-		// pending group is full, hold the record back so one fsync never
-		// covers more than BatchSize records.
-		for w.opt.BatchSize > 0 && w.flushing &&
-			w.appendSeq-w.syncedSeq >= uint64(w.opt.BatchSize) {
+		// pending group is full, hold the records back so one fsync
+		// never covers more than BatchSize records (a batch larger than
+		// the bound waits for an empty group and goes alone).
+		for w.opt.BatchSize > 0 && w.flushing && w.appendSeq > w.syncedSeq &&
+			w.appendSeq-w.syncedSeq+n > uint64(w.opt.BatchSize) {
 			w.cond().Wait()
 			if w.closed {
 				return 0, ErrClosed
@@ -464,15 +496,17 @@ func (w *WAL) AppendLSN(payload []byte) (uint64, error) {
 		w.setErrLocked(err)
 		return 0, err
 	}
-	w.index = append(w.index, recSlot{off: w.segSize, seg: uint32(w.segIndex), n: uint32(len(payload))})
-	w.segSize += int64(len(buf))
+	for _, payload := range recs {
+		w.index = append(w.index, recSlot{off: w.segSize, seg: uint32(w.segIndex), n: uint32(len(payload))})
+		w.segSize += recHeaderLen + int64(len(payload))
+	}
 	w.segBytes[w.segIndex] = w.segSize
-	w.records++
-	w.lsn++
+	w.records += len(recs)
+	w.lsn += n
 	lsn := w.lsn
-	w.sinceSync++
-	w.appendSeq++
-	walAppends.Inc()
+	w.sinceSync += len(recs)
+	w.appendSeq += n
+	walAppends.Add(int64(n))
 
 	switch w.opt.Policy {
 	case SyncAlways:
@@ -509,6 +543,22 @@ func (w *WAL) AppendLSN(payload []byte) (uint64, error) {
 	return lsn, nil
 }
 
+// syncDir makes the journal directory's entries — a new segment, a
+// published checkpoint, removed covered segments — durable. A failure
+// poisons the journal exactly as a failed record fsync does: the entry
+// may not survive a crash, so nothing that depends on it may be acked,
+// and a checkpoint stops before it truncates anything. Callers hold
+// w.mu or run inside Open.
+func (w *WAL) syncDir() error {
+	if err := w.fs.SyncDir(w.dir); err != nil {
+		walSyncErrors.Inc()
+		err = fmt.Errorf("wal: syncing directory %s: %w", w.dir, err)
+		w.setErrLocked(err)
+		return err
+	}
+	return nil
+}
+
 // fsyncLocked syncs the current segment with the lock held and marks
 // everything written so far durable. Callers hold w.mu.
 func (w *WAL) fsyncLocked() error {
@@ -527,6 +577,16 @@ func (w *WAL) fsyncLocked() error {
 		}
 	}
 	return nil
+}
+
+// flushPendingLocked fsyncs only when records were written that are not
+// yet durable — never under SyncAlways, where every append already
+// flushed. Callers hold w.mu with no group flush in flight.
+func (w *WAL) flushPendingLocked() error {
+	if w.appendSeq == w.syncedSeq {
+		return nil
+	}
+	return w.fsyncLocked()
 }
 
 // groupCommit blocks until record id is durable, electing this
@@ -606,7 +666,7 @@ func (w *WAL) replayLocked(minSeg int, fn func(rec []byte) error) error {
 		if idx < minSeg {
 			continue
 		}
-		b, err := os.ReadFile(w.segPath(idx))
+		b, err := w.fs.ReadFile(w.segPath(idx))
 		if err != nil {
 			return fmt.Errorf("wal: replay: %w", err)
 		}
