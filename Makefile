@@ -45,12 +45,14 @@ race:
 # the replication stream — snapshot catch-up racing the idle probe,
 # follower restart, a stalled follower beside leader appends, two
 # connections applying to one follower, a follower applying leader
-# batches appended from many goroutines — and the journal's batch read
-# and batched append under concurrent appends. A race in any of them
+# batches appended from many goroutines — the journal's batch read and
+# batched append under concurrent appends, the transaction records
+# under concurrent admission, sequence issue and commits, and the
+# forged-frame test that admission guards. A race in any of them
 # shows in some runs, not in every run, so one pass of `race` is not
 # enough to catch it.
 race-core:
-	$(GO) test -race -count=10 -run 'TestServerExpiryReaper|TestBuilder|TestPrivateKeyBudget|TestUploadOverDuplicatingLink|TestSnapshotCatchUp|TestFollower|TestStalledFollowerDoesNotBlockAppends|TestConcurrentServeConnSerialized|TestReadBatchFromLSN|TestAppendBatch' ./internal/core ./internal/evidence ./internal/integration ./internal/replica ./internal/wal
+	$(GO) test -race -count=10 -run 'TestServerExpiryReaper|TestBuilder|TestPrivateKeyBudget|TestUploadOverDuplicatingLink|TestSnapshotCatchUp|TestFollower|TestStalledFollowerDoesNotBlockAppends|TestConcurrentServeConnSerialized|TestReadBatchFromLSN|TestAppendBatch|TestRecordConcurrent|TestForgedFrameLeavesNoFloor' ./internal/core ./internal/evidence ./internal/integration ./internal/replica ./internal/wal
 
 # fuzz-short runs, for ten seconds each past their committed seed
 # corpora (testdata/fuzz in each package), the native fuzz targets of

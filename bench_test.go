@@ -381,7 +381,10 @@ func BenchmarkE9ReplayGuardCheck(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		nonce := make([]byte, 16)
 		nonce[0], nonce[1], nonce[2], nonce[3] = byte(i), byte(i>>8), byte(i>>16), byte(i>>24)
-		if err := g.Check("txn", uint64(i+1), nonce, time.Time{}, now); err != nil {
+		if err := g.Check(nonce, time.Time{}, now); err != nil {
+			b.Fatal(err)
+		}
+		if err := g.Admit(nonce); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -96,7 +96,7 @@ func main() {
 		// Reload the agreed receipt from the evidence archive, if any.
 		if *uploadTxn != "" {
 			if nrr, err := keystore.LoadEvidence(*state, *uploadTxn, evidence.RolePeer, evidence.KindNRR); err == nil {
-				client.Archive().Put(*uploadTxn, evidence.RolePeer, nrr)
+				client.ImportEvidence(*uploadTxn, evidence.RolePeer, nrr)
 			}
 		}
 		res, err := client.Download(ctx, conn, *txn, *key, *uploadTxn)
@@ -131,7 +131,7 @@ func main() {
 	case "resolve":
 		// Resolve needs the archived own NRO.
 		if nro, err := keystore.LoadEvidence(*state, *txn, evidence.RoleOwn, evidence.KindNRO); err == nil {
-			client.Archive().Put(*txn, evidence.RoleOwn, nro)
+			client.ImportEvidence(*txn, evidence.RoleOwn, nro)
 		} else {
 			fail(fmt.Errorf("no archived NRO for %s (did the upload run from this state dir?): %w", *txn, err))
 		}
@@ -155,19 +155,19 @@ func main() {
 		// The audit verifies responses against the root commitment inside
 		// the archived NRR; reload it from the state directory first.
 		if nrr, err := keystore.LoadEvidence(*state, *txn, evidence.RolePeer, evidence.KindNRR); err == nil {
-			client.Archive().Put(*txn, evidence.RolePeer, nrr)
+			client.ImportEvidence(*txn, evidence.RolePeer, nrr)
 		} else {
 			fail(fmt.Errorf("no archived NRR for %s (did the upload run from this state dir?): %w", *txn, err))
 		}
 		// Prior audit rounds too: their headers carry the sequence
 		// numbers this identity already burned against the provider's
-		// replay guard, and AuditObject derives its sequence floor from
-		// whatever the archive holds.
+		// replay floor, and importing them lifts the transaction's
+		// outbound floor past every one.
 		if ch, err := keystore.LoadEvidence(*state, *txn, evidence.RoleOwn, evidence.KindAuditChallenge); err == nil {
-			client.Archive().Put(*txn, evidence.RoleOwn, ch)
+			client.ImportEvidence(*txn, evidence.RoleOwn, ch)
 		}
 		if resp, err := keystore.LoadEvidence(*state, *txn, evidence.RolePeer, evidence.KindAuditResponse); err == nil {
-			client.Archive().Put(*txn, evidence.RolePeer, resp)
+			client.ImportEvidence(*txn, evidence.RolePeer, resp)
 		}
 		conn := dial(*server)
 		defer conn.Close()
@@ -176,13 +176,13 @@ func main() {
 		// it is the conviction material arbiterd reads, and its recorded
 		// sequence keeps the next audit run from reusing numbers the
 		// provider has already seen.
-		if ch, cerr := client.Archive().ByKind(*txn, evidence.RoleOwn, evidence.KindAuditChallenge); cerr == nil {
+		if ch, cerr := client.EvidenceByKind(*txn, evidence.RoleOwn, evidence.KindAuditChallenge); cerr == nil {
 			saveEvidence(*state, *txn, evidence.RoleOwn, ch)
 		}
 		// The response too, pass or fail: a provider-signed answer that
 		// fails the proof convicts immediately at arbitration — no need
 		// to wait out the challenge deadline the way silence does.
-		if resp, rerr := client.Archive().ByKind(*txn, evidence.RolePeer, evidence.KindAuditResponse); rerr == nil {
+		if resp, rerr := client.EvidenceByKind(*txn, evidence.RolePeer, evidence.KindAuditResponse); rerr == nil {
 			saveEvidence(*state, *txn, evidence.RolePeer, resp)
 		}
 		if err != nil {

@@ -59,7 +59,7 @@ func newAggFixture(t *testing.T) *aggFixture {
 // aggregate receipt instead of an individual NRR.
 func (fx *aggFixture) aggCase(t *testing.T, i int) *arbitrator.Case {
 	t.Helper()
-	nro, err := fx.d.Client.Archive().ByKind(fx.txns[i], evidence.RoleOwn, evidence.KindNRO)
+	nro, err := fx.d.Client.EvidenceByKind(fx.txns[i], evidence.RoleOwn, evidence.KindNRO)
 	if err != nil {
 		t.Fatal(err)
 	}

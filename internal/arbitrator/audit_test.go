@@ -24,7 +24,7 @@ func lateArb(fx *fixture) *arbitrator.Arbitrator {
 
 func clientEv(t *testing.T, fx *fixture, role evidence.Role, kind evidence.Kind) *evidence.Evidence {
 	t.Helper()
-	ev, err := fx.d.Client.Archive().ByKind("txn-dispute", role, kind)
+	ev, err := fx.d.Client.EvidenceByKind("txn-dispute", role, kind)
 	if err != nil {
 		t.Fatalf("client archive holds no %s/%s: %v", role, kind, err)
 	}

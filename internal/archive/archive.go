@@ -382,12 +382,14 @@ func encodeBundle(b *Bundle) []byte {
 	return e.Bytes()
 }
 
+// decodeBundle decodes a bundle whose items alias rec: Get reads each
+// record into a buffer of its own and hands it over whole.
 func decodeBundle(rec []byte) (*Bundle, error) {
 	d := wire.NewDecoder(rec)
 	b := &Bundle{Txn: d.String(), State: d.U8()}
 	n := d.U32()
 	for i := uint32(0); i < n && d.Err() == nil; i++ {
-		b.Items = append(b.Items, Item{Role: d.U8(), Blob: d.Bytes32()})
+		b.Items = append(b.Items, Item{Role: d.U8(), Blob: d.View32()})
 	}
 	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("%w: bundle: %v", ErrCorrupt, err)

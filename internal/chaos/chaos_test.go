@@ -526,7 +526,7 @@ func TestChaosEveryFaultpoint(t *testing.T) {
 				w2.converge(t, needy, key, data)
 			}
 			assertDisputeInvariant(t, w2, txn, key)
-			if _, err := w2.d.Client.Archive().ByKind(txn, evidence.RolePeer, evidence.KindNRR); err == nil {
+			if _, err := w2.d.Client.EvidenceByKind(txn, evidence.RolePeer, evidence.KindNRR); err == nil {
 				arbitrateCompleted(t, w2, txn, key)
 			}
 		})

@@ -103,7 +103,7 @@ func TestPoolPartitionEscalatesToTTP(t *testing.T) {
 	if got := dials.Load(); got < 3 {
 		t.Errorf("total dial attempts = %d, want >= 3", got)
 	}
-	if _, err := d.Client.Archive().ByKind("txn-part-1", evidence.RolePeer, evidence.KindResolveResponse); err != nil {
+	if _, err := d.Client.EvidenceByKind("txn-part-1", evidence.RolePeer, evidence.KindResolveResponse); err != nil {
 		t.Errorf("client did not archive the TTP's resolve statement: %v", err)
 	}
 	// The provider stored the data and its receipt commits to it.

@@ -106,15 +106,12 @@ func (c *Client) AuditObject(ctx context.Context, conn transport.Conn, txnID str
 		return nil, fmt.Errorf("core: building audit challenge: %w", err)
 	}
 
-	// Audits outlive the uploading process: a fresh challenger (the
-	// nrclient CLI) starts its per-txn counter at zero, but the
-	// provider's replay guard already holds the sequences this party
-	// used during the upload. Re-derive the floor from the archived
-	// headers so the challenge sequence strictly exceeds everything the
-	// provider has seen — bumpSeqTo never moves the counter backwards,
-	// so an in-process challenger that is already ahead is unaffected.
-	h := c.newHeader(evidence.KindAuditChallenge, txnID, c.ProviderID, c.TTPID,
-		c.bumpSeqTo(txnID, c.archivedMaxSeq(txnID)))
+	// Audits outlive the uploading session: the record's outbound floor
+	// already exceeds every sequence in its evidence — lifted by the
+	// evidence a restarted challenger imports (the nrclient CLI), or
+	// re-seeded from the cold bundle of a compacted session — so the
+	// challenge exceeds everything the provider has seen.
+	h := c.newHeader(evidence.KindAuditChallenge, txnID, c.ProviderID, c.TTPID, c.nextSeq(txnID))
 	h.ObjectKey = nrr.Header.ObjectKey
 	h.Note = ch.Note()
 	h.SetDigests(nil)
@@ -227,9 +224,7 @@ func (b *Provider) handleAuditChallenge(h *evidence.Header, ev *evidence.Evidenc
 		return b.errorReply(h, note)
 	}
 
-	b.txnMu.Lock()
-	objKey := b.txnObject[h.TxnID]
-	b.txnMu.Unlock()
+	objKey := b.objectOf(h.TxnID)
 	if objKey == "" {
 		objKey = h.ObjectKey
 	}
@@ -305,12 +300,7 @@ func (b *Provider) VerifyStorage(txnID string) error {
 	if err != nil {
 		return fmt.Errorf("core: NRR for %s carries no audit commitment: %w", txnID, err)
 	}
-	b.txnMu.Lock()
-	objKey := b.txnObject[txnID]
-	b.txnMu.Unlock()
-	if objKey == "" {
-		objKey = own.Header.ObjectKey
-	}
+	objKey := own.Header.ObjectKey
 	obj, err := b.store.Get(objKey)
 	if err != nil {
 		auditFailuresProvider.Inc()
@@ -327,16 +317,10 @@ func (b *Provider) VerifyStorage(txnID string) error {
 	return nil
 }
 
-// AuditableTxns lists the transactions whose object binding this
-// provider still holds — the candidate set for a self-audit sweep.
+// AuditableTxns lists the transactions whose upload this provider
+// holds — the candidate set for a self-audit sweep, live or compacted.
 func (b *Provider) AuditableTxns() []string {
-	b.txnMu.Lock()
-	defer b.txnMu.Unlock()
-	out := make([]string, 0, len(b.txnObject))
-	for txn := range b.txnObject {
-		out = append(out, txn)
-	}
-	return out
+	return b.txnsHolding(evidence.RolePeer, evidence.KindNRO)
 }
 
 // VerifyStorage routes the self-audit to the shard owning txnID, then

@@ -37,12 +37,12 @@ func TestAuditSurvivesProcessRestart(t *testing.T) {
 	// Round 1: a restarted client holding only the reloaded NRR — the
 	// minimum the CLI audit path seeds before calling AuditObject.
 	fresh := newDeploy(t, 5*time.Second)
-	fresh.Client.Archive().Put(txn, evidence.RolePeer, res.NRR)
+	fresh.Client.ImportEvidence(txn, evidence.RolePeer, res.NRR)
 	conn1 := mustDial(t, d)
 	if _, err := fresh.Client.AuditObject(ctx, conn1, txn, 4); err != nil {
 		t.Fatalf("fresh-process audit rejected: %v", err)
 	}
-	ch1, err := fresh.Client.Archive().ByKind(txn, evidence.RoleOwn, evidence.KindAuditChallenge)
+	ch1, err := fresh.Client.EvidenceByKind(txn, evidence.RoleOwn, evidence.KindAuditChallenge)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,14 +54,14 @@ func TestAuditSurvivesProcessRestart(t *testing.T) {
 	// Round 2: yet another restart, now reloading the NRR plus the first
 	// round's challenge and response — the floor must keep advancing
 	// past the previous audit, not just past the upload.
-	resp1, err := fresh.Client.Archive().ByKind(txn, evidence.RolePeer, evidence.KindAuditResponse)
+	resp1, err := fresh.Client.EvidenceByKind(txn, evidence.RolePeer, evidence.KindAuditResponse)
 	if err != nil {
 		t.Fatal(err)
 	}
 	again := newDeploy(t, 5*time.Second)
-	again.Client.Archive().Put(txn, evidence.RolePeer, res.NRR)
-	again.Client.Archive().Put(txn, evidence.RoleOwn, ch1)
-	again.Client.Archive().Put(txn, evidence.RolePeer, resp1)
+	again.Client.ImportEvidence(txn, evidence.RolePeer, res.NRR)
+	again.Client.ImportEvidence(txn, evidence.RoleOwn, ch1)
+	again.Client.ImportEvidence(txn, evidence.RolePeer, resp1)
 	conn2 := mustDial(t, d)
 	if _, err := again.Client.AuditObject(ctx, conn2, txn, 4); err != nil {
 		t.Fatalf("second restarted audit rejected: %v", err)

@@ -1,9 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/archive"
 	"repro/internal/evidence"
@@ -12,7 +12,12 @@ import (
 )
 
 // snapshotMagic versions the checkpoint payload a party hands the WAL.
-const snapshotMagic = "tpnr-snapshot-v1"
+// v2 is v1 without the archived-transaction list that followed the
+// live records.
+const (
+	snapshotMagic   = "tpnr-snapshot-v2"
+	snapshotMagicV1 = "tpnr-snapshot-v1"
+)
 
 // CheckpointReport summarises one Checkpoint call.
 type CheckpointReport struct {
@@ -71,52 +76,67 @@ func (p *party) Checkpoint() (*CheckpointReport, error) {
 	return rep, nil
 }
 
-// eligibleFor reports whether txn may be compacted, and with which
-// terminal state. The default rule — tracker state exists and is
-// terminal — is overridden by roles with extra liveness (the TTP keeps
-// sessions with open resolves hot).
-func (p *party) eligibleFor(txn string) (session.State, bool) {
-	if p.eligible != nil {
-		return p.eligible(txn)
-	}
-	st, err := p.tracker.Get(txn)
-	if err != nil || !session.Terminal(st) {
+// compactable reports whether r may be compacted, and with which
+// terminal state: a transaction whose state is terminal, or — at the
+// TTP, which writes no state — one whose evidence has stopped moving.
+// A session with an open resolve stays hot: the claimant's retry needs
+// it.
+func (p *party) compactable(r *txnRecord) (session.State, bool) {
+	switch {
+	case r.openRes:
 		return 0, false
+	case r.hasState:
+		return r.state, session.Terminal(r.state)
+	case p.stateless:
+		return session.StateCompleted, true
 	}
-	return st, true
+	return 0, false
 }
 
-// compactTerminalLocked moves every eligible terminal session's
-// evidence from the hot store into the cold archive. Caller holds
+// compactTerminalLocked moves every compactable session's evidence from
+// its record into the cold archive and deletes the record. Caller holds
 // ckptMu.
 func (p *party) compactTerminalLocked() (int, error) {
 	n := 0
-	for _, txn := range p.archive.Transactions() {
-		st, ok := p.eligibleFor(txn)
-		if !ok {
-			continue
-		}
-		b := &archive.Bundle{Txn: txn, State: uint8(st)}
-		if p.isArchived(txn) {
-			// Late evidence for an already-compacted session (a resolve
-			// query, say) landed hot again. The re-append below replaces
-			// the cold bundle last-wins, so it must carry the original
-			// items too or the session's NRO/NRR would be destroyed.
-			if old, err := p.cold.Get(txn); err == nil {
-				b.Items = old.Items
+	for i := range p.recs {
+		sh := &p.recs[i]
+		sh.mu.Lock()
+		for txn, r := range sh.recs {
+			st, ok := p.compactable(r)
+			if !ok {
+				continue
 			}
-		}
-		for _, role := range []evidence.Role{evidence.RoleOwn, evidence.RolePeer} {
-			for _, ev := range p.archive.All(txn, role) {
-				b.Items = append(b.Items, archive.Item{Role: uint8(role), Blob: ev.Encode()})
+			if !r.hot() {
+				// A late message re-seeded the record of an archived
+				// session and left nothing new: the bundle already says it.
+				if r.archived {
+					delete(sh.recs, txn)
+				}
+				continue
 			}
+			b := &archive.Bundle{Txn: txn, State: uint8(st)}
+			if r.archived {
+				// Late evidence for an already-compacted session (a resolve
+				// query, say). The re-append below replaces the cold bundle
+				// last-wins, so it must carry the original items too or the
+				// session's NRO/NRR would be destroyed.
+				if old, err := p.cold.Get(txn); err == nil {
+					b.Items = old.Items
+				}
+			}
+			for role, list := range r.ev {
+				for _, ev := range list {
+					b.Items = append(b.Items, archive.Item{Role: uint8(role + 1), Blob: ev.Encode()})
+				}
+			}
+			if err := p.cold.Append(b); err != nil {
+				sh.mu.Unlock()
+				return n, fmt.Errorf("core: archiving %s: %w", txn, err)
+			}
+			delete(sh.recs, txn)
+			n++
 		}
-		if err := p.cold.Append(b); err != nil {
-			return n, fmt.Errorf("core: archiving %s: %w", txn, err)
-		}
-		p.archive.Drop(txn)
-		p.markArchived(txn, st)
-		n++
+		sh.mu.Unlock()
 	}
 	if n > 0 {
 		// One sync for the whole batch: the WAL still holds every record
@@ -129,174 +149,108 @@ func (p *party) compactTerminalLocked() (int, error) {
 	return n, nil
 }
 
-func (p *party) isArchived(txn string) bool {
-	p.archMu.Lock()
-	defer p.archMu.Unlock()
-	_, ok := p.archived[txn]
-	return ok
-}
-
-func (p *party) markArchived(txn string, st session.State) {
-	p.archMu.Lock()
-	p.archived[txn] = st
-	p.archMu.Unlock()
-}
-
-func (p *party) archivedCount() int {
-	p.archMu.Lock()
-	defer p.archMu.Unlock()
-	return len(p.archived)
-}
-
-// archivedSorted returns the archived set as (txn, state) pairs in
-// deterministic order for the snapshot.
-func (p *party) archivedSorted() ([]string, map[string]session.State) {
-	p.archMu.Lock()
-	defer p.archMu.Unlock()
-	txns := make([]string, 0, len(p.archived))
-	states := make(map[string]session.State, len(p.archived))
-	for txn, st := range p.archived {
-		txns = append(txns, txn)
-		states[txn] = st
-	}
-	sort.Strings(txns)
-	return txns, states
-}
-
-// encodeSnapshotLocked serialises the party's live-session state — hot
-// evidence, tracker states, outbound sequence counters, role extras —
-// plus the terminal-session index. Caller holds ckptMu, so no
-// journal+mutate pair is in flight.
+// encodeSnapshotLocked serialises every live record — state, outbound
+// sequence, object key, open-resolve flag and hot evidence. Compacted
+// sessions are not listed: the cold archive's index knows them. Caller
+// holds ckptMu, so no journal+mutate pair is in flight.
 func (p *party) encodeSnapshotLocked() ([]byte, int, error) {
-	live := make(map[string]bool)
-	for _, txn := range p.archive.Transactions() {
-		live[txn] = true
-	}
-	for _, txn := range p.tracker.Transactions() {
-		if !p.isArchived(txn) {
-			live[txn] = true
-		}
-	}
-	txns := make([]string, 0, len(live))
-	for txn := range live {
-		txns = append(txns, txn)
-	}
-	sort.Strings(txns)
-
 	e := wire.NewEncoder(1024)
 	e.String(snapshotMagic)
-	e.U32(uint32(len(txns)))
-	for _, txn := range txns {
-		e.String(txn)
-		st, serr := p.tracker.Get(txn)
-		e.Bool(serr == nil)
-		e.U8(uint8(st))
-		p.seqMu.Lock()
-		c := p.seqs[txn]
-		p.seqMu.Unlock()
-		var cur uint64
-		if c != nil {
-			cur = c.Current()
-		}
-		e.U64(cur)
-		note, flag := "", false
-		if p.snapExtra != nil {
-			note, flag = p.snapExtra(txn)
-		}
-		e.String(note)
-		e.Bool(flag)
-		for _, role := range []evidence.Role{evidence.RoleOwn, evidence.RolePeer} {
-			items := p.archive.All(txn, role)
-			e.U32(uint32(len(items)))
-			for _, ev := range items {
-				e.Bytes32(ev.Encode())
+	count := e.Len()
+	e.U32(0)
+	n := 0
+	for _, txn := range p.HotTxns() {
+		p.view(txn, func(r *txnRecord) {
+			if !r.hasState && !r.hot() && r.object == "" && !r.openRes {
+				return // only floors: nothing a snapshot restores
 			}
-		}
+			n++
+			e.String(txn)
+			e.Bool(r.hasState)
+			e.U8(uint8(r.state))
+			e.U64(r.outSeq)
+			e.String(r.object)
+			e.Bool(r.openRes)
+			for _, list := range r.ev {
+				e.U32(uint32(len(list)))
+				for _, ev := range list {
+					e.Bytes32(ev.Encode())
+				}
+			}
+		})
 	}
-	archTxns, archStates := p.archivedSorted()
-	e.U32(uint32(len(archTxns)))
-	for _, txn := range archTxns {
-		e.String(txn)
-		e.U8(uint8(archStates[txn]))
-	}
-	return e.Bytes(), len(txns), nil
+	b := e.Bytes()
+	binary.BigEndian.PutUint32(b[count:], uint32(n))
+	return b, n, nil
 }
 
-// restoreSnapshot rebuilds party state from a checkpoint payload. Items
-// land via PutIfAbsent so restoring over an already-warm party (a
-// second Recover call) changes nothing.
+// restoreSnapshot rebuilds records from a checkpoint payload. Restoring
+// over an already-warm party (a second Recover call) changes nothing.
+// A tpnr-snapshot-v1 payload still loads: its trailing archived-txn
+// list is read past, because the archive index now answers that.
 func (p *party) restoreSnapshot(payload []byte, rep *RecoveryReport, seen map[string]bool) error {
 	d := wire.NewDecoder(payload)
-	if err := d.Magic(snapshotMagic); err != nil {
-		return fmt.Errorf("core: unrecognised snapshot format: %w", err)
+	magic := d.String()
+	if magic != snapshotMagic && magic != snapshotMagicV1 {
+		return fmt.Errorf("core: unrecognised snapshot format %q", magic)
 	}
 	nLive := int(d.U32())
 	for i := 0; i < nLive && d.Err() == nil; i++ {
 		txn := d.String()
 		hasState := d.Bool()
 		st := session.State(d.U8())
-		seqCur := d.U64()
-		note := d.String()
-		flag := d.Bool()
-		if d.Err() != nil {
-			break
-		}
-		if hasState {
-			p.tracker.Restore(txn, st)
-		}
-		if seqCur > 0 {
-			p.seqMu.Lock()
-			c, ok := p.seqs[txn]
-			if !ok {
-				c = &session.Counter{}
-				p.seqs[txn] = c
-			}
-			p.seqMu.Unlock()
-			c.SkipTo(seqCur)
-		}
-		for _, role := range []evidence.Role{evidence.RoleOwn, evidence.RolePeer} {
+		outSeq := d.U64()
+		object := d.String()
+		openRes := d.Bool()
+		var items [2][]*evidence.Evidence
+		for role := range items {
 			n := int(d.U32())
 			for j := 0; j < n && d.Err() == nil; j++ {
 				ev, err := evidence.Decode(d.Bytes32())
 				if err != nil {
 					return fmt.Errorf("core: snapshot evidence for %s: %w", txn, err)
 				}
-				p.archive.PutIfAbsent(txn, role, ev)
-				if role == evidence.RolePeer {
-					h := ev.Header
-					p.guard.Observe(h.TxnID+"|"+h.SenderID, h.Seq, h.Nonce)
-				}
+				items[role] = append(items[role], ev)
 			}
 		}
-		if p.restoreExtra != nil {
-			p.restoreExtra(txn, note, flag)
+		if d.Err() != nil {
+			break
 		}
+		p.update(txn, func(r *txnRecord) {
+			if hasState {
+				r.state, r.hasState = st, true
+			}
+			r.outSeq = max(r.outSeq, outSeq)
+			if object != "" {
+				r.object = object
+			}
+			r.openRes = r.openRes || openRes
+			for role, list := range items {
+				for _, ev := range list {
+					p.restoreEvidence(r, evidence.Role(role+1), ev)
+				}
+			}
+		})
 		if txn != "" && !seen[txn] {
 			seen[txn] = true
 			rep.Transactions = append(rep.Transactions, txn)
 		}
 	}
-	nArch := int(d.U32())
-	for i := 0; i < nArch && d.Err() == nil; i++ {
-		txn := d.String()
-		st := session.State(d.U8())
-		if d.Err() != nil {
-			break
+	if magic == snapshotMagicV1 {
+		for n := int(d.U32()); n > 0 && d.Err() == nil; n-- {
+			d.View32()
+			d.U8()
 		}
-		p.markArchived(txn, st)
-		// The tracker keeps the terminal state so resolve handlers can
-		// still consult it for compacted sessions.
-		p.tracker.Restore(txn, st)
 	}
 	return d.Finish()
 }
 
 // EvidenceByKind returns the latest evidence of the given role and kind
-// for txn, consulting the hot store first and falling back to the cold
-// archive for compacted sessions. This is the dispute read path: it
-// never replays the journal.
+// for txn, consulting the transaction's record first and falling back
+// to the cold archive for compacted sessions. This is the dispute read
+// path: it never replays the journal.
 func (p *party) EvidenceByKind(txn string, role evidence.Role, kind evidence.Kind) (*evidence.Evidence, error) {
-	if ev, err := p.archive.ByKind(txn, role, kind); err == nil {
+	if ev := p.hotByKind(txn, role, kind); ev != nil {
 		return ev, nil
 	}
 	if ev, err := p.coldByKind(txn, role, kind); err == nil {

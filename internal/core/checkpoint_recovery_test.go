@@ -108,8 +108,8 @@ func TestCheckpointCompactsAndRecoversSnapshotPlusTail(t *testing.T) {
 		t.Fatal("checkpoint reported LSN 0")
 	}
 	// Compacted sessions left the hot store but remain cold-readable.
-	if len(w.d.Client.Archive().Transactions()) != 0 {
-		t.Fatalf("hot evidence survived compaction: %v", w.d.Client.Archive().Transactions())
+	if len(w.d.Client.HotTxns()) != 0 {
+		t.Fatalf("hot evidence survived compaction: %v", w.d.Client.HotTxns())
 	}
 	if !w.pa.Has("txn-ck-0") {
 		t.Fatal("provider cold archive missing compacted session")
@@ -209,10 +209,10 @@ func TestRecoverTwiceIsIdempotent(t *testing.T) {
 // state: per-transaction evidence counts by role.
 func providerStateFingerprint(p *core.Provider) map[string][2]int {
 	out := make(map[string][2]int)
-	for _, txn := range p.Archive().Transactions() {
+	for _, txn := range p.HotTxns() {
 		out[txn] = [2]int{
-			len(p.Archive().All(txn, evidence.RoleOwn)),
-			len(p.Archive().All(txn, evidence.RolePeer)),
+			len(p.HotEvidence(txn, evidence.RoleOwn)),
+			len(p.HotEvidence(txn, evidence.RolePeer)),
 		}
 	}
 	return out
@@ -237,7 +237,7 @@ func TestResolveAfterCompaction(t *testing.T) {
 	if prep.Archived != 1 {
 		t.Fatalf("provider archived %d sessions, want 1", prep.Archived)
 	}
-	if list := w.d.Provider.Archive().Transactions(); len(list) != 0 {
+	if list := w.d.Provider.HotTxns(); len(list) != 0 {
 		t.Fatalf("session still hot after compaction: %v", list)
 	}
 
@@ -282,7 +282,7 @@ func TestCheckpointMergesLateEvidence(t *testing.T) {
 	if _, err := w.d.Client.Resolve(ctx, ttpConn, "txn-merge", "late dispute"); err != nil {
 		t.Fatal(err)
 	}
-	if len(w.d.Provider.Archive().All("txn-merge", evidence.RolePeer)) == 0 {
+	if len(w.d.Provider.HotEvidence("txn-merge", evidence.RolePeer)) == 0 {
 		t.Fatal("resolve left no hot evidence; test premise broken")
 	}
 	if _, err := w.d.Provider.Checkpoint(); err != nil {
@@ -339,8 +339,8 @@ func TestTTPKeepsOpenResolveHot(t *testing.T) {
 	// recovered ledger must agree with the pre-crash one — and if it was
 	// open, the session's evidence must still be hot.
 	for _, txn := range rep.OpenResolves {
-		if len(w2.d.TTPServer.Archive().All(txn, evidence.RolePeer)) == 0 &&
-			len(w2.d.TTPServer.Archive().All(txn, evidence.RoleOwn)) == 0 {
+		if len(w2.d.TTPServer.HotEvidence(txn, evidence.RolePeer)) == 0 &&
+			len(w2.d.TTPServer.HotEvidence(txn, evidence.RoleOwn)) == 0 {
 			t.Fatalf("open resolve %s was compacted away", txn)
 		}
 	}

@@ -67,7 +67,6 @@ func (c *Client) Upload(ctx context.Context, conn transport.Conn, txnID, objectK
 	if err != nil {
 		return nil, err
 	}
-	c.tracker.Begin(txnID)
 	faultpoint.Hit(fpClientUploadBeforeJournal)
 	// Journal the NRO before it leaves, in one flush with the state that
 	// says it left: once Bob holds it Alice is committed, so the
@@ -169,7 +168,7 @@ func (c *Client) Download(ctx context.Context, conn transport.Conn, txnID, objec
 	if err != nil {
 		return nil, err
 	}
-	c.tracker.Begin(txnID)
+	c.begin(txnID)
 	if err := c.putEvidence(txnID, evidence.RoleOwn, own); err != nil {
 		return nil, err
 	}
@@ -244,8 +243,8 @@ func (c *Client) agreedReceipt(uploadTxn, objectKey string) *evidence.Evidence {
 		}
 		return nil
 	}
-	for _, txn := range c.archive.Transactions() {
-		if ev, err := c.archive.ByKind(txn, evidence.RolePeer, evidence.KindNRR); err == nil && ev.Header.ObjectKey == objectKey {
+	for _, txn := range c.HotTxns() {
+		if ev := c.hotByKind(txn, evidence.RolePeer, evidence.KindNRR); ev != nil && ev.Header.ObjectKey == objectKey {
 			return ev
 		}
 	}
@@ -361,9 +360,14 @@ func (c *Client) Resolve(ctx context.Context, ttpConn transport.Conn, txnID, rep
 		return nil, err
 	}
 	defer applyDeadline(ctx, ttpConn)()
-	nro, err := c.archive.Get(txnID, evidence.RoleOwn)
-	if err != nil {
-		return nil, fmt.Errorf("core: no own evidence for %s: %w", txnID, err)
+	var nro *evidence.Evidence
+	c.view(txnID, func(r *txnRecord) {
+		if own := r.ev[roleIndex(evidence.RoleOwn)]; len(own) > 0 {
+			nro = own[len(own)-1]
+		}
+	})
+	if nro == nil {
+		return nil, fmt.Errorf("core: no own evidence for %s: %w", txnID, evidence.ErrNoEvidence)
 	}
 	h := c.newHeader(evidence.KindResolveRequest, txnID, c.TTPID, c.TTPID, c.nextSeq(txnID))
 	h.Note = report
@@ -445,11 +449,20 @@ func (c *Client) PendingNRO(txnID string) (*evidence.Evidence, error) {
 	return c.EvidenceByKind(txnID, evidence.RoleOwn, evidence.KindNRO)
 }
 
-// Recover replays the client's journal after a restart, rebuilding the
-// evidence archive, session tracker, replay guard and sequence
-// counters. Transactions the crash left non-terminal (NRO sent but no
-// NRR archived, or a resolve opened but not concluded) are listed in
-// NeedsResolve; the caller escalates each via Resolve, per §4.3.
+// Recover replays the client's journal after a restart, rebuilding
+// every live transaction's record. Transactions the crash left
+// non-terminal (NRO sent but no NRR archived, or a resolve opened but
+// not concluded) are listed in NeedsResolve; the caller escalates each
+// via Resolve, per §4.3.
 func (c *Client) Recover(ctx context.Context) (*RecoveryReport, error) {
-	return c.recoverBase(ctx, nil)
+	return c.recoverBase(ctx)
+}
+
+// ImportEvidence files evidence this client holds outside its journal
+// (the nrclient CLI's state directory) in the transaction's record. It
+// also lifts the record's outbound floor past the evidence: the peers'
+// replay floors remember every sequence number this identity already
+// used, so the next message must exceed them.
+func (c *Client) ImportEvidence(txn string, role evidence.Role, ev *evidence.Evidence) {
+	c.update(txn, func(r *txnRecord) { r.add(role, ev) })
 }

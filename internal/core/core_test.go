@@ -64,16 +64,16 @@ func TestUploadNormalMode(t *testing.T) {
 		t.Fatalf("stored object: %v", err)
 	}
 	// Both sides archived both roles of evidence.
-	if _, err := d.Client.Archive().ByKind("txn-up-1", evidence.RoleOwn, evidence.KindNRO); err != nil {
+	if _, err := d.Client.EvidenceByKind("txn-up-1", evidence.RoleOwn, evidence.KindNRO); err != nil {
 		t.Error("client lost its NRO")
 	}
-	if _, err := d.Client.Archive().ByKind("txn-up-1", evidence.RolePeer, evidence.KindNRR); err != nil {
+	if _, err := d.Client.EvidenceByKind("txn-up-1", evidence.RolePeer, evidence.KindNRR); err != nil {
 		t.Error("client did not archive the NRR")
 	}
-	if _, err := d.Provider.Archive().ByKind("txn-up-1", evidence.RolePeer, evidence.KindNRO); err != nil {
+	if _, err := d.Provider.EvidenceByKind("txn-up-1", evidence.RolePeer, evidence.KindNRO); err != nil {
 		t.Error("provider did not archive the NRO")
 	}
-	if _, err := d.Provider.Archive().ByKind("txn-up-1", evidence.RoleOwn, evidence.KindNRR); err != nil {
+	if _, err := d.Provider.EvidenceByKind("txn-up-1", evidence.RoleOwn, evidence.KindNRR); err != nil {
 		t.Error("provider lost its NRR")
 	}
 }

@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
+	"time"
 
 	"repro/internal/evidence"
 	"repro/internal/session"
@@ -11,11 +11,11 @@ import (
 )
 
 // Journal record kinds. One record per protocol transition; the union
-// of replayed records reconstructs a party's archive, tracker, replay
-// guard and sequence counters after a crash.
+// of replayed records reconstructs a party's transaction records after
+// a crash.
 const (
 	jrEvidence uint8 = iota + 1 // an archived evidence item (own or peer)
-	jrState                     // a tracker state transition
+	jrState                     // a session state transition
 	jrObject                    // provider: txn → stored object key binding
 	jrResolve                   // TTP: a resolve opened (aux=1) or closed (aux=2)
 )
@@ -123,35 +123,34 @@ func (p *party) journalAppend(recs [][]byte) error {
 
 // batch is one protocol step's journal records for one transaction
 // and the in-memory effects they license. A step queues what it must
-// make durable before its message leaves — evidence, tracker
+// make durable before its message leaves — evidence, state
 // transitions, role-specific bindings — and commits once: one journal
-// write, one flush, one quorum wait. The effects (archive, tracker,
-// maps) become visible only after the commit made the records durable,
-// so no other goroutine can act on state a crash could still take
-// back.
+// write, one flush, one quorum wait. The effects on the transaction's
+// record become visible only after the commit made the records
+// durable, so no other goroutine can act on state a crash could still
+// take back.
 type batch struct {
 	p     *party
 	txn   string
 	steps []batchStep
-	// stateErr is the first queued transition the tracker refused at
-	// commit (out of a terminal state): it was neither journaled nor
-	// applied.
+	// stateErr is the first queued transition commit refused (out of a
+	// terminal state): it was neither journaled nor applied.
 	stateErr error
 	// buf backs steps for the common step sizes (an upload's provider
 	// side queues five), so queueing allocates nothing.
 	buf [6]batchStep
 }
 
-// batchStep is one queued record — encoded — with its effect: an
-// evidence item for the archive, a tracker transition (checked against
-// the tracker at commit), or a role-specific apply func.
+// batchStep is one queued record — encoded — with its effect on the
+// record: an evidence item, a state transition (checked against the
+// record's state at commit), or a role-specific apply func.
 type batchStep struct {
 	rec   []byte
 	kind  uint8
 	role  evidence.Role
 	ev    *evidence.Evidence
 	state session.State
-	apply func()
+	apply func(*txnRecord)
 }
 
 func (p *party) newBatch(txn string) *batch {
@@ -160,17 +159,18 @@ func (p *party) newBatch(txn string) *batch {
 	return b
 }
 
-// evidence queues an evidence item for the journal and the archive.
+// evidence queues an evidence item for the journal and the record.
 func (b *batch) evidence(role evidence.Role, ev *evidence.Evidence) *batch {
 	r := journalRecord{Kind: jrEvidence, Txn: b.txn, Aux: uint8(role), Blob: ev.Encode()}
 	b.steps = append(b.steps, batchStep{rec: r.encode(), kind: jrEvidence, role: role, ev: ev})
 	return b
 }
 
-// state queues a tracker transition. Replay applies journaled
+// state queues a state transition. Replay applies journaled
 // transitions unconditionally, so an illegal one (out of a terminal
 // state) must not be journaled: commit checks each against the
-// tracker, in order, and drops the ones it refuses (see stateErr).
+// record's state, in order, and drops the ones it refuses (see
+// stateErr).
 func (b *batch) state(next session.State) *batch {
 	r := journalRecord{Kind: jrState, Txn: b.txn, Aux: uint8(next)}
 	b.steps = append(b.steps, batchStep{rec: r.encode(), kind: jrState, state: next})
@@ -179,28 +179,30 @@ func (b *batch) state(next session.State) *batch {
 
 // record queues a role-specific record (an object binding, a resolve
 // phase) with the effect it licenses.
-func (b *batch) record(r journalRecord, apply func()) *batch {
+func (b *batch) record(r journalRecord, apply func(*txnRecord)) *batch {
 	b.steps = append(b.steps, batchStep{rec: r.encode(), kind: r.Kind, apply: apply})
 	return b
 }
 
 // commit journals the queued records as one batch and then applies
-// their effects. It holds ckptMu's read side across both, so a
-// checkpoint can never snapshot between the records and their effects,
-// and the transaction's commit lock, so the tracker check, the journal
-// write and the tracker update are one step against every other
-// commit for the transaction (the expiry reaper's included). On a
-// journal failure nothing is applied and the caller must not ack.
+// their effects to the transaction's record. It holds ckptMu's read
+// side across both, so a checkpoint can never snapshot between the
+// records and their effects, and the transaction's commit stripe, so
+// the state check, the journal write and the state update are one step
+// against every other commit for the transaction (the expiry reaper's
+// included). On a journal failure nothing is applied and the caller
+// must not ack.
 func (b *batch) commit() error {
 	p := b.p
 	p.ckptMu.RLock()
 	defer p.ckptMu.RUnlock()
-	mu := p.commitLock(b.txn)
-	mu.Lock()
-	defer mu.Unlock()
+	sh := p.shard(b.txn)
+	sh.commit.Lock()
+	defer sh.commit.Unlock()
 
-	cur, gerr := p.tracker.Get(b.txn)
-	known := gerr == nil
+	var cur session.State
+	var known bool
+	p.update(b.txn, func(r *txnRecord) { cur, known = r.state, r.hasState })
 	recs := make([][]byte, 0, len(b.steps))
 	keep := b.steps[:0]
 	for _, st := range b.steps {
@@ -222,29 +224,19 @@ func (b *batch) commit() error {
 			return err
 		}
 	}
-	for _, st := range b.steps {
-		switch {
-		case st.kind == jrEvidence:
-			p.archive.Put(b.txn, st.role, st.ev)
-		case st.kind == jrState:
-			p.applyState(b.txn, st.state)
-		case st.apply != nil:
-			st.apply()
+	p.update(b.txn, func(r *txnRecord) {
+		for _, st := range b.steps {
+			switch {
+			case st.kind == jrEvidence:
+				r.add(st.role, st.ev)
+			case st.kind == jrState:
+				p.applyState(r, st.state)
+			case st.apply != nil:
+				st.apply(r)
+			}
 		}
-	}
+	})
 	return nil
-}
-
-// commitShards sizes the striped per-transaction commit lock.
-const commitShards = 64
-
-// commitLock returns the stripe of the commit lock that txn maps to.
-func (p *party) commitLock(txn string) *sync.Mutex {
-	h := uint32(2166136261) // FNV-1a
-	for i := 0; i < len(txn); i++ {
-		h = (h ^ uint32(txn[i])) * 16777619
-	}
-	return &p.commitMu[h%commitShards]
 }
 
 // applyState applies a transition commit has already checked and
@@ -252,31 +244,28 @@ func (p *party) commitLock(txn string) *sync.Mutex {
 // transition restamps the transaction's deadline; reaching a terminal
 // state clears it. Only parties configured with WithDeadlinePolicy pay
 // for the deadlines.
-func (p *party) applyState(txn string, next session.State) {
-	if _, err := p.tracker.Get(txn); err != nil {
-		p.tracker.Begin(txn)
-	}
-	p.tracker.Transition(txn, next)
+func (p *party) applyState(r *txnRecord, next session.State) {
+	r.state, r.hasState = next, true
 	if p.deadline.enabled() {
 		if session.Terminal(next) {
-			p.tracker.ClearDeadline(txn)
+			r.deadline = time.Time{}
 		} else {
-			p.tracker.SetDeadline(txn, p.clk.Now().Add(p.deadline.Step))
+			r.deadline = p.clk.Now().Add(p.deadline.Step)
 		}
 	}
 }
 
-// putEvidence journals an evidence item and then archives it — a batch
-// of one, for the steps that have nothing else to make durable with
-// it. On journal failure the item is not archived and the caller must
-// not ack.
+// putEvidence journals an evidence item and then files it in the
+// record — a batch of one, for the steps that have nothing else to
+// make durable with it. On journal failure the item is not filed and
+// the caller must not ack.
 func (p *party) putEvidence(txn string, role evidence.Role, ev *evidence.Evidence) error {
 	return p.newBatch(txn).evidence(role, ev).commit()
 }
 
-// setState journals and applies one tracker transition — a batch of
-// one. It reports the tracker's refusal of a transition out of a
-// terminal state (first-wins for the expiry reaper's abort claim).
+// setState journals and applies one state transition — a batch of
+// one. It reports the refusal of a transition out of a terminal state
+// (first-wins for the expiry reaper's abort claim).
 func (p *party) setState(txn string, next session.State) error {
 	b := p.newBatch(txn).state(next)
 	if err := b.commit(); err != nil {
@@ -319,23 +308,24 @@ type RecoveryReport struct {
 	SkippedArchived int
 }
 
-// recoverBase rebuilds the state every party shares — evidence archive,
-// tracker, replay guard and outbound sequence counters — from the
-// newest usable checkpoint snapshot plus the journal tail past it. With
-// no snapshot the tail IS the whole journal, which degrades to the old
-// full-replay behaviour. extra (may be nil) sees each tail record for
-// role-specific state (the provider's object map, the TTP's resolve
-// ledger); records for transactions already compacted into the cold
-// archive are skipped — their evidence is served from the archive, not
-// re-materialised hot. Every restore path is idempotent (PutIfAbsent,
-// Restore, SkipTo, Observe), so calling Recover twice yields the state
-// of calling it once.
-func (p *party) recoverBase(ctx context.Context, extra func(*journalRecord) error) (*RecoveryReport, error) {
+// recoverBase rebuilds the party's transaction records from the newest
+// usable checkpoint snapshot plus the journal tail past it. With no
+// snapshot the tail IS the whole journal, which degrades to a full
+// replay. Tail records for transactions already compacted into the
+// cold archive are skipped — the archive serves their evidence, not a
+// re-materialised record. Compacted means the bundle reads back: a
+// crash before the archive's sync can leave an index entry over bytes
+// that never landed, and the journal, not yet truncated, still holds
+// that session. Every restore path is idempotent (add
+// deduplicates; states, floors and flags are set, not stepped), so
+// calling Recover twice yields the state of calling it once.
+func (p *party) recoverBase(ctx context.Context) (*RecoveryReport, error) {
 	rep := &RecoveryReport{}
 	if p.journal == nil {
 		return rep, nil
 	}
 	seen := make(map[string]bool)
+	archived := make(map[string]bool) // txn → its bundle reads back
 	if payload, lsn, ok := p.journal.LoadCheckpoint(); ok {
 		if err := p.restoreSnapshot(payload, rep, seen); err != nil {
 			return nil, err
@@ -351,7 +341,12 @@ func (p *party) recoverBase(ctx context.Context, extra func(*journalRecord) erro
 			return err
 		}
 		rep.TailRecords++
-		if p.isArchived(r.Txn) {
+		cold, ok := archived[r.Txn]
+		if !ok {
+			cold = p.bundle(r.Txn) != nil
+			archived[r.Txn] = cold
+		}
+		if cold {
 			// Post-compaction record for an archived session (late resolve
 			// traffic): the archive already serves this session's evidence.
 			rep.SkippedArchived++
@@ -362,55 +357,61 @@ func (p *party) recoverBase(ctx context.Context, extra func(*journalRecord) erro
 			seen[r.Txn] = true
 			rep.Transactions = append(rep.Transactions, r.Txn)
 		}
-		switch r.Kind {
-		case jrEvidence:
-			ev, err := evidence.Decode(r.Blob)
-			if err != nil {
+		var ev *evidence.Evidence
+		if r.Kind == jrEvidence {
+			if ev, err = evidence.Decode(r.Blob); err != nil {
 				return fmt.Errorf("core: journal evidence for %s: %w", r.Txn, err)
 			}
-			role := evidence.Role(r.Aux)
-			p.archive.PutIfAbsent(r.Txn, role, ev)
-			h := ev.Header
-			if role == evidence.RoleOwn && h.SenderID == p.id.Name {
-				// Our own outbound message: the counter must never reuse
-				// its sequence number.
-				p.seqMu.Lock()
-				c, ok := p.seqs[r.Txn]
-				if !ok {
-					c = &session.Counter{}
-					p.seqs[r.Txn] = c
-				}
-				p.seqMu.Unlock()
-				c.SkipTo(h.Seq)
-			} else if role == evidence.RolePeer {
-				// A peer message we accepted: the guard must keep
-				// rejecting replays of it.
-				p.guard.Observe(h.TxnID+"|"+h.SenderID, h.Seq, h.Nonce)
+		}
+		p.update(r.Txn, func(tr *txnRecord) {
+			switch r.Kind {
+			case jrEvidence:
+				p.restoreEvidence(tr, evidence.Role(r.Aux), ev)
+			case jrState:
+				tr.state, tr.hasState = session.State(r.Aux), true
+			case jrObject:
+				tr.object = r.Note
+			case jrResolve:
+				tr.openRes = r.Aux == jrResolveOpen
 			}
-		case jrState:
-			p.tracker.Restore(r.Txn, session.State(r.Aux))
-		}
-		if extra != nil {
-			return extra(r)
-		}
+		})
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	rep.TornTail = p.journal.Truncated()
-	rep.ArchivedSessions = p.archivedCount()
-	for _, txn := range rep.Transactions {
-		st, err := p.tracker.Get(txn)
-		if err != nil {
-			// Evidence without any state transition: the crash hit between
-			// archiving and the first transition — treat as unfinished.
-			rep.NeedsResolve = append(rep.NeedsResolve, txn)
-			continue
+	if p.cold != nil {
+		rep.ArchivedSessions = p.cold.Sessions()
+	}
+	if p.stateless {
+		// The TTP holds no sessions of its own; what a crash leaves it
+		// owing is the statements of the resolves it opened.
+		for _, txn := range p.HotTxns() {
+			p.view(txn, func(r *txnRecord) {
+				if r.openRes {
+					rep.OpenResolves = append(rep.OpenResolves, txn)
+				}
+			})
 		}
-		if !session.Terminal(st) {
+		return rep, nil
+	}
+	for _, txn := range rep.Transactions {
+		// Evidence without any state transition means the crash hit
+		// between journaling and the first transition: unfinished too.
+		if st, known := p.stateOf(txn); !known || !session.Terminal(st) {
 			rep.NeedsResolve = append(rep.NeedsResolve, txn)
 		}
 	}
 	return rep, nil
+}
+
+// restoreEvidence files a journaled or snapshotted evidence item in its
+// record; a peer's nonce goes back into the window so the party keeps
+// rejecting replays of what it accepted before the crash.
+func (p *party) restoreEvidence(r *txnRecord, role evidence.Role, ev *evidence.Evidence) {
+	r.add(role, ev)
+	if role == evidence.RolePeer {
+		_ = p.guard.Admit(ev.Header.Nonce) // refused only when already there
+	}
 }

@@ -140,8 +140,8 @@ const (
 )
 
 // party is the plumbing shared by Client, Provider and the TTP server:
-// identity, peer authentication, replay guard, evidence archive,
-// sequence allocation and instrumented send/receive.
+// identity, peer authentication, the nonce window, one record per
+// transaction and instrumented send/receive.
 type party struct {
 	id    *pki.Identity
 	caKey cryptoutil.PublicKey
@@ -153,14 +153,15 @@ type party struct {
 	timeout  time.Duration
 
 	guard    *session.Guard
-	archive  *evidence.Store
-	tracker  *session.Tracker
 	journal  *wal.WAL
 	repl     Replicator
 	vcache   *evidence.VerifyCache
 	deadline DeadlinePolicy
-	seqMu    sync.Mutex
-	seqs     map[string]*session.Counter
+	// recs holds one record per live transaction (record.go).
+	recs [recShards]recShard
+	// stateless marks the TTP: it writes no session state of its own,
+	// so settled evidence compacts as completed.
+	stateless bool
 
 	// signer is the party's private key, counting the signatures it
 	// computes. builder signs every outbound message with it and lives
@@ -169,28 +170,13 @@ type party struct {
 	signer  cryptoutil.Signer
 	builder *evidence.Builder
 
-	// Tiered evidence storage. cold is the append-only archive terminal
-	// sessions compact into; archived records which transactions have
-	// been moved (and their terminal state) so recovery can skip their
-	// journal records. ckptMu serialises checkpoints against journal
-	// batches: every batch commit holds the read side across its journal
-	// write AND its effects, so a snapshot can never capture a state the
-	// journal boundary splits.
-	cold     *archive.Store
-	archMu   sync.Mutex
-	archived map[string]session.State
-	ckptMu   sync.RWMutex
-	// commitMu serialises journal batches per transaction (striped):
-	// see batch.commit.
-	commitMu [commitShards]sync.Mutex
-
-	// Per-role hooks into checkpoint/recovery. snapExtra contributes a
-	// (note, flag) pair per live transaction to the snapshot; restore-
-	// Extra replays it; eligible overrides which transactions count as
-	// compactable (nil means "tracker state is terminal").
-	snapExtra    func(txn string) (note string, flag bool)
-	restoreExtra func(txn, note string, flag bool)
-	eligible     func(txn string) (session.State, bool)
+	// cold is the append-only archive terminal sessions compact into;
+	// its index is what knows a compacted transaction. ckptMu serialises
+	// checkpoints against journal batches: every batch commit holds the
+	// read side across its journal write AND its effects, so a snapshot
+	// can never capture a state the journal boundary splits.
+	cold   *archive.Store
+	ckptMu sync.RWMutex
 
 	// peers memoizes CA-verified peer keys: one CA signature check and
 	// one key parse per distinct certificate, instead of per message.
@@ -235,14 +221,10 @@ func newParty(o Options) (*party, error) {
 		lifetime: o.MessageLifetime,
 		timeout:  o.ResponseTimeout,
 		guard:    session.NewGuard(0),
-		archive:  evidence.NewStore(),
-		tracker:  session.NewTracker(),
 		journal:  o.journal,
 		repl:     o.repl,
 		deadline: o.deadline,
 		cold:     o.cold,
-		archived: make(map[string]session.State),
-		seqs:     make(map[string]*session.Counter),
 		peers:    make(map[string]*peerEntry),
 		pumps:    make(map[transport.Conn]*pump),
 		// Re-verifications cluster on resolve/dispute traffic; a modest
@@ -282,59 +264,11 @@ func (s countedSigner) Sign(msg []byte) ([]byte, error) {
 	return sig, err
 }
 
-// Archive exposes the party's evidence store (for disputes and tests).
-func (p *party) Archive() *evidence.Store { return p.archive }
-
 // Counters exposes the party's metrics.
 func (p *party) Counters() *metrics.Counters { return p.ctr }
 
 // ID returns the party name.
 func (p *party) ID() string { return p.id.Name }
-
-// nextSeq issues the next outbound sequence number for a transaction.
-func (p *party) nextSeq(txn string) uint64 {
-	p.seqMu.Lock()
-	c, ok := p.seqs[txn]
-	if !ok {
-		c = &session.Counter{}
-		p.seqs[txn] = c
-	}
-	p.seqMu.Unlock()
-	return c.Next()
-}
-
-// archivedMaxSeq returns the highest header sequence recorded in the
-// party's archive for txn across both roles, or zero when nothing is
-// archived. A process that restarts mid-transaction (the nrclient CLI
-// reloading evidence from its state directory) starts its in-memory
-// counters from scratch, but the peer's replay guard remembers every
-// sequence this party already used — the archived headers are the
-// durable record of that floor.
-func (p *party) archivedMaxSeq(txn string) uint64 {
-	var max uint64
-	for _, role := range []evidence.Role{evidence.RoleOwn, evidence.RolePeer} {
-		for _, ev := range p.archive.All(txn, role) {
-			if ev.Header.Seq > max {
-				max = ev.Header.Seq
-			}
-		}
-	}
-	return max
-}
-
-// bumpSeqTo advances the outbound counter past an observed inbound
-// sequence so replies always exceed what the peer sent.
-func (p *party) bumpSeqTo(txn string, seen uint64) uint64 {
-	p.seqMu.Lock()
-	c, ok := p.seqs[txn]
-	if !ok {
-		c = &session.Counter{}
-		p.seqs[txn] = c
-	}
-	p.seqMu.Unlock()
-	c.SkipTo(seen)
-	return c.Next()
-}
 
 // peerKey resolves and authenticates a peer's public key via the
 // directory and CA key. Verified certificates are memoized per name:
@@ -411,9 +345,10 @@ func (p *party) send(conn transport.Conn, m *Message) error {
 }
 
 // checkInbound runs the generic inbound validation sequence on a
-// received message: decode header, header addressing, replay guard,
-// time limit, open + verify the sealed evidence against the sender's
-// authenticated key. Returns the header and opened evidence.
+// received message: decode header, header addressing, the pure
+// freshness check, open + verify the sealed evidence against the
+// sender's authenticated key, and only then admit the sequence number
+// and nonce. Returns the header and opened evidence.
 func (p *party) checkInbound(m *Message) (*evidence.Header, *evidence.Evidence, error) {
 	h, err := m.Header()
 	if err != nil {
@@ -424,7 +359,7 @@ func (p *party) checkInbound(m *Message) (*evidence.Header, *evidence.Evidence, 
 	}
 	// Sequence spaces are per (transaction, sender): Alice, Bob and the
 	// TTP each number their own messages within a transaction.
-	if err := p.guard.Check(h.TxnID+"|"+h.SenderID, h.Seq, h.Nonce, h.TimeLimit, p.clk.Now()); err != nil {
+	if err := p.fresh(h); err != nil {
 		p.ctr.Inc(metrics.ReplaysSeen, 1)
 		return nil, nil, fmt.Errorf("%w: %v", ErrProtocol, err)
 	}
@@ -435,6 +370,10 @@ func (p *party) checkInbound(m *Message) (*evidence.Header, *evidence.Evidence, 
 	ev, err := evidence.OpenCachedWith(p.signer, senderKey, m.Sealed, h, p.vcache)
 	if err != nil {
 		p.ctr.Inc(metrics.AuthFailures, 1)
+		return nil, nil, fmt.Errorf("%w: %v", ErrProtocol, err)
+	}
+	if err := p.admit(h); err != nil {
+		p.ctr.Inc(metrics.ReplaysSeen, 1)
 		return nil, nil, fmt.Errorf("%w: %v", ErrProtocol, err)
 	}
 	p.ctr.Inc(metrics.DecryptOps, 1)

@@ -136,8 +136,7 @@ type SessionPool struct {
 	idle   [][]transport.Conn
 	closed bool
 
-	// auditor tracks auditable uploads and the background sweep loop
-	// (poolaudit.go).
+	// auditor runs the background audit sweep (poolaudit.go).
 	auditor poolAuditor
 }
 
@@ -214,7 +213,6 @@ func (p *SessionPool) Upload(ctx context.Context, txnID, objectKey string, data 
 		return err
 	})
 	if err == nil {
-		p.auditor.recordAuditable(txnID)
 		return res, nil
 	}
 	if p.opt.TTPDial == nil || !escalableUpload(err) {
@@ -239,7 +237,6 @@ func (p *SessionPool) Upload(ctx context.Context, txnID, objectKey string, data 
 		// not a completed upload.
 		return nil, fmt.Errorf("%w: transaction %s closed by provider abort receipt", ErrExpired, txnID)
 	}
-	p.auditor.recordAuditable(txnID)
 	return &UploadResult{TxnID: txnID, NRO: nro, NRR: rr.PeerEvidence}, nil
 }
 

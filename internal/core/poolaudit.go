@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/evidence"
 	"repro/internal/transport"
 )
 
@@ -14,52 +15,26 @@ import (
 const DefaultAuditChallenges = 4
 
 // Background storage-dwell auditing for the session pool (DESIGN.md
-// §14). Every successful pool Upload registers its transaction as
-// auditable; when PoolAuditInterval is set, a background loop sweeps
-// the registered sessions on that cadence, borrowing connections
+// §14). Every upload whose receipt the client holds is auditable; when
+// PoolAuditInterval is set, a background loop sweeps them on that
+// cadence, borrowing connections
 // through the same shard-pinned free lists the foreground traffic
 // uses. Each failed audit leaves a journaled unanswered (or
 // ill-answered) challenge — conviction material, not just a metric.
 
-// poolAuditor tracks the pool's auditable sessions and the sweep
-// goroutine's lifecycle.
+// poolAuditor tracks the sweep goroutine's lifecycle.
 type poolAuditor struct {
-	mu   sync.Mutex
-	txns []string
-	seen map[string]bool
-
 	// stop is guarded by mu; the running loop holds its own reference.
+	mu   sync.Mutex
 	stop chan struct{}
 	wg   sync.WaitGroup
 }
 
-// recordAuditable registers a completed upload for future audit
-// sweeps. Duplicate registrations (e.g. an upload retried through
-// Resolve) collapse.
-func (a *poolAuditor) recordAuditable(txnID string) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.seen == nil {
-		a.seen = make(map[string]bool)
-	}
-	if a.seen[txnID] {
-		return
-	}
-	a.seen[txnID] = true
-	a.txns = append(a.txns, txnID)
+// AuditableTxns lists the sessions the pool will sweep: every upload,
+// live or compacted, whose receipt the client holds.
+func (p *SessionPool) AuditableTxns() []string {
+	return p.c.txnsHolding(evidence.RolePeer, evidence.KindNRR)
 }
-
-// snapshot returns the current auditable set.
-func (a *poolAuditor) snapshot() []string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]string, len(a.txns))
-	copy(out, a.txns)
-	return out
-}
-
-// AuditableTxns lists the sessions the pool will sweep.
-func (p *SessionPool) AuditableTxns() []string { return p.auditor.snapshot() }
 
 // Audit runs one n-leaf challenge-response round for txnID through
 // the pool, with the same shard pinning, retry and backoff policy as
@@ -109,11 +84,11 @@ func (p *SessionPool) startAuditLoop() {
 	}()
 }
 
-// auditSweep challenges every registered session once. Failures are
+// auditSweep challenges every auditable session once. Failures are
 // already counted and journaled by AuditObject; the sweep keeps going
 // so one lazy session cannot shield the rest.
 func (p *SessionPool) auditSweep(stop <-chan struct{}) {
-	for _, txn := range p.auditor.snapshot() {
+	for _, txn := range p.AuditableTxns() {
 		select {
 		case <-stop:
 			return

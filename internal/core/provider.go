@@ -28,11 +28,6 @@ type Provider struct {
 	// (configured with WithTTPID).
 	ttpID string
 
-	txnMu sync.Mutex
-	// txnObject remembers which object each upload transaction stored,
-	// for abort and resolve handling.
-	txnObject map[string]string
-
 	// Behaviour switches used by experiments and the attack lab to
 	// model a malicious or broken provider. All default to honest.
 	behaviorMu sync.Mutex
@@ -84,31 +79,7 @@ func NewProvider(opts ...Option) (*Provider, error) {
 	if store == nil {
 		store = storage.NewMem(p.clk.Now)
 	}
-	b := &Provider{party: p, store: store, ttpID: o.ttpID, txnObject: make(map[string]string)}
-	b.initCheckpointHooks()
-	return b, nil
-}
-
-// initCheckpointHooks wires the provider's role-specific state — the
-// transaction → object-key map — into the checkpoint snapshot: each
-// live transaction's binding rides the snapshot's note field, so a
-// recovery that never replays the pre-checkpoint journal still knows
-// which blob each session stored.
-func (b *Provider) initCheckpointHooks() {
-	b.snapExtra = func(txn string) (string, bool) {
-		b.txnMu.Lock()
-		key := b.txnObject[txn]
-		b.txnMu.Unlock()
-		return key, false
-	}
-	b.restoreExtra = func(txn, note string, _ bool) {
-		if note == "" {
-			return
-		}
-		b.txnMu.Lock()
-		b.txnObject[txn] = note
-		b.txnMu.Unlock()
-	}
+	return &Provider{party: p, store: store, ttpID: o.ttpID}, nil
 }
 
 // SetMisbehavior swaps the provider's behaviour at runtime.
@@ -240,7 +211,7 @@ func (b *Provider) errorReply(h *evidence.Header, note string) (*Message, error)
 // NRO and data, store the object, archive the NRO, reply with the NRR.
 func (b *Provider) handleUpload(h *evidence.Header, ev *evidence.Evidence, data []byte) (*Message, error) {
 	if herr := b.Health(); herr != nil {
-		if _, serr := b.tracker.Get(h.TxnID); serr != nil {
+		if _, known := b.stateOf(h.TxnID); !known {
 			// Degraded mode: the journal cannot promise durability (or —
 			// quorum-unavailable — cannot promise it survives losing a
 			// node), so a NEW session must not bind evidence here:
@@ -415,12 +386,12 @@ func (b *Provider) handleAbort(h *evidence.Header, ev *evidence.Evidence) (*Mess
 		return nil, err
 	}
 	bt := b.newBatch(h.TxnID).evidence(evidence.RolePeer, ev)
-	state, serr := b.tracker.Get(h.TxnID)
+	state, known := b.stateOf(h.TxnID)
 	kind := evidence.KindAbortAccept
 	note := "transaction aborted"
 	abort := false
 	switch {
-	case serr != nil:
+	case !known:
 		// Unknown transaction: nothing to abort; accepting is safe and
 		// gives Alice her evidence of cancellation.
 		note = "transaction unknown; abort recorded"
@@ -447,10 +418,7 @@ func (b *Provider) handleAbort(h *evidence.Header, ev *evidence.Evidence) (*Mess
 		// by re-deleting the object, whereas the reverse order would
 		// leave a deleted object behind a transaction recovery still
 		// thinks is live.
-		b.txnMu.Lock()
-		objKey := b.txnObject[h.TxnID]
-		b.txnMu.Unlock()
-		if objKey != "" {
+		if objKey := b.objectOf(h.TxnID); objKey != "" {
 			b.store.Delete(objKey)
 		}
 	}
@@ -482,7 +450,7 @@ func (b *Provider) handleResolve(h *evidence.Header, ev *evidence.Evidence, payl
 	rh.SetDigests(nil)
 
 	var relay []byte
-	if st, serr := b.tracker.Get(h.TxnID); serr == nil && st == session.StateAborted {
+	if st, _ := b.stateOf(h.TxnID); st == session.StateAborted {
 		// The transaction was aborted — possibly honored again during
 		// crash recovery. Re-presenting (or newly issuing) an NRR here
 		// would re-bind us to a blob we deleted; relay the abort receipt
@@ -608,14 +576,11 @@ func (b *Provider) Resolve(ctx context.Context, ttpConn transport.Conn, txnID, r
 }
 
 // bindObject queues the transaction → object-key binding on bt — the
-// journal record and, once it is durable, the in-memory map entry — so
+// journal record and, once it is durable, the record's object key — so
 // recovery knows which blob an abort must drop.
 func (b *Provider) bindObject(bt *batch, objectKey string) {
-	txn := bt.txn
-	bt.record(journalRecord{Kind: jrObject, Txn: txn, Note: objectKey}, func() {
-		b.txnMu.Lock()
-		b.txnObject[txn] = objectKey
-		b.txnMu.Unlock()
+	bt.record(journalRecord{Kind: jrObject, Txn: bt.txn, Note: objectKey}, func(r *txnRecord) {
+		r.object = objectKey
 	})
 }
 
@@ -664,7 +629,7 @@ func (b *Provider) SetReplicator(r Replicator) { b.repl = r }
 // ever stamped.
 func (b *Provider) ExpireStale(now time.Time) int {
 	n := 0
-	for _, txn := range b.tracker.ExpireBefore(now) {
+	for _, txn := range b.overdue(now) {
 		if err := b.expireTxn(txn); err == nil {
 			n++
 		}
@@ -684,12 +649,13 @@ func (b *Provider) expireIfStale(h *evidence.Header) bool {
 	if h.Kind != evidence.KindNRO && h.Kind != evidence.KindDownloadRequest {
 		return false
 	}
-	dl := b.tracker.Deadline(h.TxnID)
-	if dl.IsZero() || b.clk.Now().Before(dl) {
-		return false
-	}
-	b.tracker.ClearDeadline(h.TxnID)
-	return b.expireTxn(h.TxnID) == nil
+	now, due := b.clk.Now(), false
+	b.view(h.TxnID, func(r *txnRecord) {
+		if due = !r.deadline.IsZero() && !now.Before(r.deadline); due {
+			r.deadline = time.Time{}
+		}
+	})
+	return due && b.expireTxn(h.TxnID) == nil
 }
 
 // expireTxn drives one overdue transaction to its §4.2 abort outcome:
@@ -708,10 +674,7 @@ func (b *Provider) expireTxn(txn string) error {
 			return rerr
 		}
 	}
-	b.txnMu.Lock()
-	objKey := b.txnObject[txn]
-	b.txnMu.Unlock()
-	if objKey != "" {
+	if objKey := b.objectOf(txn); objKey != "" {
 		b.store.Delete(objKey)
 	}
 	b.ctr.Inc(metrics.Aborts, 1)
@@ -740,35 +703,22 @@ func (b *Provider) issueAbortReceipt(nroHeader *evidence.Header, note string) (*
 	return own, nil
 }
 
-// Recover replays the provider's journal after a restart: the evidence
-// archive, session tracker, replay guard, sequence counters and the
-// transaction → object map are rebuilt, and acked aborts are honored by
+// Recover replays the provider's journal after a restart: every live
+// transaction's record — evidence, state, sequence floors and object
+// key — is rebuilt, and acked aborts are honored by
 // re-deleting their stored objects (a crash may have hit between
 // journaling the abort and dropping the blob). Transactions the crash
 // left non-terminal are listed in NeedsResolve; per §4.3 the provider
 // may escalate them itself (Resolve) or simply wait — its journaled
 // evidence already answers any TTP query about them.
 func (b *Provider) Recover(ctx context.Context) (*RecoveryReport, error) {
-	rep, err := b.recoverBase(ctx, func(r *journalRecord) error {
-		if r.Kind == jrObject {
-			b.txnMu.Lock()
-			b.txnObject[r.Txn] = r.Note
-			b.txnMu.Unlock()
-		}
-		return nil
-	})
+	rep, err := b.recoverBase(ctx)
 	if err != nil {
 		return nil, err
 	}
 	for _, txn := range rep.Transactions {
-		st, serr := b.tracker.Get(txn)
-		if serr != nil || st != session.StateAborted {
-			continue
-		}
-		b.txnMu.Lock()
-		objKey := b.txnObject[txn]
-		b.txnMu.Unlock()
-		if objKey == "" {
+		objKey := b.objectOf(txn)
+		if st, _ := b.stateOf(txn); st != session.StateAborted || objKey == "" {
 			continue
 		}
 		if err := b.store.Delete(objKey); err == nil {

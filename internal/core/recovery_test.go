@@ -3,7 +3,10 @@ package core_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -12,7 +15,6 @@ import (
 	"repro/internal/cryptoutil"
 	"repro/internal/deploy"
 	"repro/internal/evidence"
-	"repro/internal/session"
 	"repro/internal/storage"
 	"repro/internal/transport"
 	"repro/internal/wal"
@@ -98,16 +100,16 @@ func TestJournalRecoveryRebuildsCompletedUpload(t *testing.T) {
 		t.Fatalf("completed txn flagged for resolve: client %v, provider %v", crep.NeedsResolve, prep.NeedsResolve)
 	}
 	// All four evidence items survive the restart.
-	if _, err := w2.d.Client.Archive().ByKind("txn-rec-1", evidence.RoleOwn, evidence.KindNRO); err != nil {
+	if _, err := w2.d.Client.EvidenceByKind("txn-rec-1", evidence.RoleOwn, evidence.KindNRO); err != nil {
 		t.Error("client lost its NRO across restart")
 	}
-	if _, err := w2.d.Client.Archive().ByKind("txn-rec-1", evidence.RolePeer, evidence.KindNRR); err != nil {
+	if _, err := w2.d.Client.EvidenceByKind("txn-rec-1", evidence.RolePeer, evidence.KindNRR); err != nil {
 		t.Error("client lost the NRR across restart")
 	}
-	if _, err := w2.d.Provider.Archive().ByKind("txn-rec-1", evidence.RolePeer, evidence.KindNRO); err != nil {
+	if _, err := w2.d.Provider.EvidenceByKind("txn-rec-1", evidence.RolePeer, evidence.KindNRO); err != nil {
 		t.Error("provider lost the NRO across restart")
 	}
-	if _, err := w2.d.Provider.Archive().ByKind("txn-rec-1", evidence.RoleOwn, evidence.KindNRR); err != nil {
+	if _, err := w2.d.Provider.EvidenceByKind("txn-rec-1", evidence.RoleOwn, evidence.KindNRR); err != nil {
 		t.Error("provider lost its NRR across restart")
 	}
 
@@ -202,7 +204,7 @@ func TestCorruptedUploadRejectedNotStored(t *testing.T) {
 	if _, err := d.Store.Get("corrupt/obj"); err == nil {
 		t.Fatal("provider stored an object from a corrupted message")
 	}
-	if _, err := d.Provider.Archive().ByKind("txn-corrupt-1", evidence.RolePeer, evidence.KindNRO); err == nil {
+	if _, err := d.Provider.EvidenceByKind("txn-corrupt-1", evidence.RolePeer, evidence.KindNRO); err == nil {
 		t.Fatal("provider archived evidence from a corrupted message")
 	}
 	// The client's session is recoverable: its own NRO is archived, so
@@ -212,18 +214,53 @@ func TestCorruptedUploadRejectedNotStored(t *testing.T) {
 	}
 }
 
-// Ensure the session additions behave as recovery expects.
-func TestGuardObserveBlocksReplays(t *testing.T) {
-	g := session.NewGuard(0)
-	nonce := []byte("nonce-1")
-	g.Observe("txn|alice", 3, nonce)
-	if err := g.Check("txn|alice", 3, []byte("nonce-2"), time.Time{}, time.Now()); err == nil {
-		t.Fatal("observed sequence re-admitted after Observe")
+// TestRecoverOverZeroHole: a crash that kept a later unsynced journal
+// write but lost the earlier one leaves zeros in front of an intact
+// record. Recovery treats the hole as a torn tail — the later record
+// was never acked, because its flush never completed — instead of
+// failing on an "empty" record.
+func TestRecoverOverZeroHole(t *testing.T) {
+	dir := t.TempDir()
+	store := storage.NewMem(time.Now)
+	ctx := context.Background()
+
+	w := openJournaledWorld(t, dir, store)
+	conn, err := w.d.DialProvider()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := g.Check("txn|alice", 4, nonce, time.Time{}, time.Now()); err == nil {
-		t.Fatal("observed nonce re-admitted after Observe")
+	if _, err := w.d.Client.Upload(ctx, conn, "txn-hole", "hole/obj", []byte("before the hole")); err != nil {
+		t.Fatal(err)
 	}
-	if err := g.Check("txn|alice", 4, []byte("nonce-3"), time.Time{}, time.Now()); err != nil {
-		t.Fatalf("fresh message rejected after Observe: %v", err)
+	conn.Close()
+	w.crash()
+
+	segs, err := filepath.Glob(filepath.Join(dir, "provider", "*.seg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no provider segment (%v)", err)
+	}
+	payload := []byte("a later record the crash kept")
+	hole := binary.BigEndian.AppendUint32(make([]byte, 40), uint32(len(payload)))
+	hole = binary.BigEndian.AppendUint32(hole, crc32.ChecksumIEEE(payload))
+	f, err := os.OpenFile(segs[len(segs)-1], os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(append(hole, payload...)); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	w2 := openJournaledWorld(t, dir, store)
+	defer w2.crash()
+	rep, err := w2.d.Provider.Recover(ctx)
+	if err != nil {
+		t.Fatalf("recover over a zero hole: %v", err)
+	}
+	if !rep.TornTail {
+		t.Fatal("zero hole not reported as a torn tail")
+	}
+	if _, err := w2.d.Provider.EvidenceByKind("txn-hole", evidence.RolePeer, evidence.KindNRO); err != nil {
+		t.Fatalf("evidence before the hole lost: %v", err)
 	}
 }

@@ -64,7 +64,7 @@ func TestExpireStaleIssuesAbortReceipt(t *testing.T) {
 	if _, err := d.Store.Get("k/expired"); err == nil {
 		t.Fatal("expired session left its blob in the store")
 	}
-	if _, err := d.Provider.Archive().ByKind("txn-exp", evidence.RoleOwn, evidence.KindAbortAccept); err != nil {
+	if _, err := d.Provider.EvidenceByKind("txn-exp", evidence.RoleOwn, evidence.KindAbortAccept); err != nil {
 		t.Fatalf("expired session has no abort receipt: %v", err)
 	}
 	// A second reap finds nothing: expiry is exactly-once.
@@ -142,7 +142,7 @@ func TestServerExpiryReaper(t *testing.T) {
 	// absorb scheduler noise.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if _, err := d.Provider.Archive().ByKind("txn-reap", evidence.RoleOwn, evidence.KindAbortAccept); err == nil {
+		if _, err := d.Provider.EvidenceByKind("txn-reap", evidence.RoleOwn, evidence.KindAbortAccept); err == nil {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -449,7 +449,7 @@ func TestServerGarbageFrameMidConnection(t *testing.T) {
 		t.Errorf("protocol handler errors rose by %d, want 1", got)
 	}
 	for _, txn := range []string{"txn-ok-1", "txn-ok-2"} {
-		if _, err := d.Provider.Archive().ByKind(txn, evidence.RolePeer, evidence.KindNRO); err != nil {
+		if _, err := d.Provider.EvidenceByKind(txn, evidence.RolePeer, evidence.KindNRO); err != nil {
 			t.Errorf("%s: NRO not archived: %v", txn, err)
 		}
 	}

@@ -102,7 +102,7 @@ func (c *Client) SettleSession(ctx context.Context, conn transport.Conn, session
 	// cannot be settled.
 	leaves := make([]cryptoutil.Digest, 0, len(txnIDs))
 	for _, txn := range txnIDs {
-		nro, err := c.archive.ByKind(txn, evidence.RoleOwn, evidence.KindNRO)
+		nro, err := c.EvidenceByKind(txn, evidence.RoleOwn, evidence.KindNRO)
 		if err != nil {
 			return nil, fmt.Errorf("core: no archived NRO for %s: %w", txn, err)
 		}
@@ -125,7 +125,7 @@ func (c *Client) SettleSession(ctx context.Context, conn transport.Conn, session
 	if err != nil {
 		return nil, err
 	}
-	c.tracker.Begin(sessionID)
+	c.begin(sessionID)
 	if err := c.putEvidence(sessionID, evidence.RoleOwn, own); err != nil {
 		return nil, err
 	}
@@ -206,7 +206,7 @@ func (b *Provider) handleSettle(h *evidence.Header, ev *evidence.Evidence, paylo
 	b.ctr.Inc(metrics.HashOps, 2)
 	leaves := make([]cryptoutil.Digest, 0, len(txns))
 	for _, txn := range txns {
-		nro, aerr := b.archive.ByKind(txn, evidence.RolePeer, evidence.KindNRO)
+		nro, aerr := b.EvidenceByKind(txn, evidence.RolePeer, evidence.KindNRO)
 		if aerr != nil {
 			return b.errorReply(h, fmt.Sprintf("cannot settle %s: no archived evidence", txn))
 		}

@@ -63,7 +63,7 @@ func TestSettleSession(t *testing.T) {
 		if err != nil {
 			t.Fatalf("proof %d round trip: %v", i, err)
 		}
-		nro, err := d.Client.Archive().ByKind(txn, evidence.RoleOwn, evidence.KindNRO)
+		nro, err := d.Client.EvidenceByKind(txn, evidence.RoleOwn, evidence.KindNRO)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +75,7 @@ func TestSettleSession(t *testing.T) {
 	// Forgery: evidence from one settled txn cannot prove into another
 	// txn's slot.
 	proof0, _ := res.Proof(0)
-	nro1, _ := d.Client.Archive().ByKind(txns[1], evidence.RoleOwn, evidence.KindNRO)
+	nro1, _ := d.Client.EvidenceByKind(txns[1], evidence.RoleOwn, evidence.KindNRO)
 	if err := r.VerifyLeaf(nro1, proof0); err == nil {
 		t.Error("evidence for txn 1 accepted under txn 0's proof")
 	}
@@ -123,7 +123,7 @@ func TestSchemeEd25519Deployment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nro, err := d.Client.Archive().ByKind(txns[2], evidence.RoleOwn, evidence.KindNRO)
+	nro, err := d.Client.EvidenceByKind(txns[2], evidence.RoleOwn, evidence.KindNRO)
 	if err != nil {
 		t.Fatal(err)
 	}

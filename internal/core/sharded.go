@@ -5,8 +5,8 @@ package core
 // transaction ID: every evidence chain, session state machine, journal
 // record and object binding is keyed by exactly one txn, so routing
 // whole transactions to shards needs no cross-shard coordination at
-// all. Each shard owns its own WAL, evidence archive, session tracker,
-// replay guard and checkpoint schedule; throughput scales with cores
+// all. Each shard owns its own WAL, cold archive, transaction records,
+// nonce window and checkpoint schedule; throughput scales with cores
 // (independent txn-lock spaces) and with disks (independent fsync
 // streams), and crash recovery fans out one goroutine per shard.
 //

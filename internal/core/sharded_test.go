@@ -437,7 +437,7 @@ func TestShardedColdArchiveAuditEvidence(t *testing.T) {
 	} {
 		// The hot store really is empty — what follows must come from the
 		// cold archive, not a lingering hot copy.
-		if _, err := e.Shard(tc.shard).archive.ByKind(tc.txn, evidence.RolePeer, evidence.KindAuditChallenge); err == nil {
+		if e.Shard(tc.shard).hotByKind(tc.txn, evidence.RolePeer, evidence.KindAuditChallenge) != nil {
 			t.Fatalf("%s: audit challenge still hot after checkpoint", tc.txn)
 		}
 		ch, err := e.EvidenceByKind(tc.txn, evidence.RolePeer, evidence.KindAuditChallenge)

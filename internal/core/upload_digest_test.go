@@ -108,8 +108,8 @@ func TestUploadDigestChecks(t *testing.T) {
 					t.Fatalf("reply is not Bob's signed evidence: %v", err)
 				}
 				_, getErr := store.Get("docs/ledger")
-				_, nroErr := provider.Archive().ByKind("txn-1", evidence.RolePeer, evidence.KindNRO)
-				_, nrrErr := provider.Archive().ByKind("txn-1", evidence.RoleOwn, evidence.KindNRR)
+				_, nroErr := provider.EvidenceByKind("txn-1", evidence.RolePeer, evidence.KindNRO)
+				_, nrrErr := provider.EvidenceByKind("txn-1", evidence.RoleOwn, evidence.KindNRR)
 				failures := provider.Counters().Get(metrics.AuthFailures)
 
 				if row.mutate == nil {

@@ -184,7 +184,7 @@ func TestFollowerRecoverTwiceEqualsOnce(t *testing.T) {
 	fdir := followerDir(dir, 2)
 	d1, rep1, close1 := recoverOverJournal(t, ctx, fdir, store)
 	txns1 := append([]string(nil), rep1.Transactions...)
-	evCount1 := len(d1.Provider.Archive().Transactions())
+	evCount1 := len(d1.Provider.HotTxns())
 	close1()
 
 	d2, rep2, close2 := recoverOverJournal(t, ctx, fdir, store)
@@ -192,7 +192,7 @@ func TestFollowerRecoverTwiceEqualsOnce(t *testing.T) {
 	if !reflect.DeepEqual(txns1, rep2.Transactions) {
 		t.Fatalf("recover-twice diverged: first %v, second %v", txns1, rep2.Transactions)
 	}
-	if got := len(d2.Provider.Archive().Transactions()); got != evCount1 {
+	if got := len(d2.Provider.HotTxns()); got != evCount1 {
 		t.Fatalf("recover-twice archive size %d, first pass %d", got, evCount1)
 	}
 	for _, txn := range []string{"txn-f-0", "txn-f-1", "txn-f-tail"} {

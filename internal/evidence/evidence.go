@@ -92,7 +92,30 @@ var (
 	ErrDigestMismatch = errors.New("evidence: data does not match header digests")
 	ErrHeaderMismatch = errors.New("evidence: sealed header differs from plaintext header")
 	ErrMalformed      = errors.New("evidence: malformed encoding")
+	// ErrNoEvidence is returned when a party holds no matching item.
+	ErrNoEvidence = errors.New("evidence: none stored for transaction")
 )
+
+// Role distinguishes which side of a transaction an evidence item
+// plays for its holder. The paper requires both parties to retain
+// evidence (§3.1, §4.1): Own is what this party generated (its
+// commitment to the peer); Peer is what it received from the
+// counterparty (what it shows an arbitrator).
+type Role uint8
+
+// Evidence roles.
+const (
+	RoleOwn Role = iota + 1
+	RolePeer
+)
+
+// String names the role.
+func (r Role) String() string {
+	if r == RoleOwn {
+		return "own"
+	}
+	return "peer"
+}
 
 // Header is the plaintext part of a protocol message; its canonical
 // encoding is what Sign(Plaintext) covers.
@@ -149,6 +172,24 @@ func (h *Header) Encode() []byte {
 // DecodeHeader reverses Encode.
 func DecodeHeader(b []byte) (*Header, error) {
 	d := wire.NewDecoder(b)
+	h, err := decodeHeaderPrefix(d)
+	if err != nil {
+		return nil, err
+	}
+	h.ObjectLen = d.U64()
+	h.Note = d.String()
+	h.DataMD5 = cryptoutil.Digest{Alg: cryptoutil.HashAlg(d.U8()), Sum: d.Bytes32()}
+	h.DataSHA256 = cryptoutil.Digest{Alg: cryptoutil.HashAlg(d.U8()), Sum: d.Bytes32()}
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
+	}
+	return h, nil
+}
+
+// decodeHeaderPrefix reads a header up to its object key: the fields
+// that say who sent which message of which transaction. A short or
+// damaged prefix shows as d's sticky error.
+func decodeHeaderPrefix(d *wire.Decoder) (*Header, error) {
 	if err := d.Magic("tpnr-header-v1"); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrMalformed, err)
 	}
@@ -163,11 +204,23 @@ func DecodeHeader(b []byte) (*Header, error) {
 	h.Timestamp = d.Time()
 	h.TimeLimit = d.Time()
 	h.ObjectKey = d.String()
-	h.ObjectLen = d.U64()
-	h.Note = d.String()
-	h.DataMD5 = cryptoutil.Digest{Alg: cryptoutil.HashAlg(d.U8()), Sum: d.Bytes32()}
-	h.DataSHA256 = cryptoutil.Digest{Alg: cryptoutil.HashAlg(d.U8()), Sum: d.Bytes32()}
-	if err := d.Finish(); err != nil {
+	return h, nil
+}
+
+// PeekHeader decodes an encoded evidence item's header up to its object
+// key, copying neither the note, the digests nor the signatures: what a
+// reader that needs only who sent which message pays.
+func PeekHeader(b []byte) (*Header, error) {
+	d := wire.NewDecoder(b)
+	if err := d.Magic("tpnr-evidence-plain-v1"); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrMalformed, err)
+	}
+	hd := wire.NewDecoder(d.View32())
+	h, err := decodeHeaderPrefix(hd)
+	if err != nil {
+		return nil, err
+	}
+	if err := hd.Err(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
 	}
 	return h, nil

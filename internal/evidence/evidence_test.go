@@ -262,3 +262,9 @@ func TestMatchesDataQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestRoleString(t *testing.T) {
+	if RoleOwn.String() == RolePeer.String() {
+		t.Fatal("roles stringify identically")
+	}
+}

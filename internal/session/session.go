@@ -1,8 +1,9 @@
 // Package session provides the transaction bookkeeping the TPNR
-// protocol's anti-replay and timeliness mechanisms need (paper §4.1,
-// §5.4, §5.5): transaction IDs, strictly increasing per-transaction
-// sequence numbers, a replay window that rejects reused (transaction,
-// sequence, nonce) triples, and message time limits.
+// protocol's anti-replay and timeliness mechanisms share across a
+// party (paper §4.1, §5.4, §5.5): transaction IDs, the lifecycle
+// states, and a bounded window of recently accepted nonces. The
+// per-transaction parts — sequence floors and counters, state and
+// deadline — live in the protocol engine's transaction record.
 package session
 
 import (
@@ -19,7 +20,6 @@ var (
 	ErrReplay       = errors.New("session: replayed message")
 	ErrOutOfOrder   = errors.New("session: sequence number not increasing")
 	ErrExpired      = errors.New("session: message past its time limit")
-	ErrUnknownTxn   = errors.New("session: unknown transaction")
 	ErrTxncompleted = errors.New("session: transaction already completed")
 )
 
@@ -28,56 +28,11 @@ func NewTransactionID() string {
 	return fmt.Sprintf("txn-%x", cryptoutil.MustNonce())
 }
 
-// Counter issues strictly increasing sequence numbers for outbound
-// messages of one transaction ("The sequence number increases one by
-// one", §4.1).
-type Counter struct {
-	mu   sync.Mutex
-	next uint64
-}
-
-// Next returns the next sequence number, starting at 1.
-func (c *Counter) Next() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.next++
-	return c.next
-}
-
-// Current returns the last issued number (0 if none).
-func (c *Counter) Current() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.next
-}
-
-// SkipTo advances the counter so the next issued number exceeds n.
-// Constant-time regardless of the gap — a peer-supplied sequence number
-// must never control a loop bound.
-func (c *Counter) SkipTo(n uint64) {
-	c.mu.Lock()
-	if c.next < n {
-		c.next = n
-	}
-	c.mu.Unlock()
-}
-
-// Guard validates inbound messages: per-transaction monotone sequence
-// numbers, globally unique nonces within a bounded window, and time
-// limits. One Guard protects one receiving endpoint.
-//
-// Memory note: lastSeq holds one entry per (transaction, sender) scope
-// for the Guard's lifetime. Calling Forget after a transaction reaches
-// a terminal state reclaims it, at the cost of re-admitting low
-// sequence numbers for that transaction (the nonce window still covers
-// recent replays). The protocol engines keep entries by default —
-// correctness over memory — and leave Forget to deployments that
-// recycle transaction IDs.
+// Guard is one receiving endpoint's window of recently accepted
+// nonces, with the §5.5 time-limit check. The window is party-wide:
+// a nonce is unique across every transaction the party receives.
 type Guard struct {
-	mu sync.Mutex
-	// lastSeq maps transaction ID → highest sequence number accepted.
-	lastSeq map[string]uint64
-	// nonces remembers recently seen nonces, bounded by window.
+	mu     sync.Mutex
 	nonces map[string]struct{}
 	order  []string
 	window int
@@ -90,67 +45,41 @@ func NewGuard(window int) *Guard {
 	if window <= 0 {
 		window = 1 << 16
 	}
-	return &Guard{
-		lastSeq: make(map[string]uint64),
-		nonces:  make(map[string]struct{}),
-		window:  window,
-	}
+	return &Guard{nonces: make(map[string]struct{}), window: window}
 }
 
-// Check validates an inbound message's replay-protection fields:
-//   - seq must exceed the highest accepted sequence for txn;
-//   - nonce must be fresh within the window;
-//   - timeLimit (if nonzero) must not be before now (§5.5).
-//
-// On success the guard records seq and nonce. Violations leave state
-// unchanged so a retry with correct fields still succeeds.
-func (g *Guard) Check(txn string, seq uint64, nonce []byte, timeLimit, now time.Time) error {
+// Check reports whether a message is fresh at now: timeLimit (if
+// nonzero) is not before now, and nonce is not in the window. It
+// changes nothing, so it may run before the message is authenticated.
+func (g *Guard) Check(nonce []byte, timeLimit, now time.Time) error {
 	if !timeLimit.IsZero() && now.After(timeLimit) {
 		return fmt.Errorf("%w: limit %v, now %v", ErrExpired, timeLimit, now)
 	}
 	g.mu.Lock()
-	defer g.mu.Unlock()
-	if last, ok := g.lastSeq[txn]; ok && seq <= last {
-		return fmt.Errorf("%w: txn %s seq %d <= last %d", ErrOutOfOrder, txn, seq, last)
+	_, seen := g.nonces[string(nonce)]
+	g.mu.Unlock()
+	if seen {
+		return fmt.Errorf("%w: nonce reuse", ErrReplay)
 	}
-	if _, seen := g.nonces[string(nonce)]; seen {
-		return fmt.Errorf("%w: nonce reuse in txn %s", ErrReplay, txn)
-	}
-	g.lastSeq[txn] = seq
-	g.remember(string(nonce))
 	return nil
 }
 
-func (g *Guard) remember(nonce string) {
-	g.nonces[nonce] = struct{}{}
-	g.order = append(g.order, nonce)
+// Admit records nonce in the window, refusing it when it is already
+// there: of two copies of one message, exactly one is admitted.
+func (g *Guard) Admit(nonce []byte) error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if _, seen := g.nonces[string(nonce)]; seen {
+		return fmt.Errorf("%w: nonce reuse", ErrReplay)
+	}
+	n := string(nonce)
+	g.nonces[n] = struct{}{}
+	g.order = append(g.order, n)
 	for len(g.order) > g.window {
 		delete(g.nonces, g.order[0])
 		g.order = g.order[1:]
 	}
-}
-
-// Observe records a (sequence, nonce) pair without validating it —
-// journal replay feeding the guard what it had already accepted before
-// a crash. Validation would be wrong here: replayed records arrive in
-// arrival order but past their time limits, and rejecting them would
-// leave the guard ready to re-admit the very messages it once consumed.
-func (g *Guard) Observe(txn string, seq uint64, nonce []byte) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if last, ok := g.lastSeq[txn]; !ok || seq > last {
-		g.lastSeq[txn] = seq
-	}
-	if _, seen := g.nonces[string(nonce)]; !seen {
-		g.remember(string(nonce))
-	}
-}
-
-// Forget drops a transaction's sequence state (after completion).
-func (g *Guard) Forget(txn string) {
-	g.mu.Lock()
-	delete(g.lastSeq, txn)
-	g.mu.Unlock()
+	return nil
 }
 
 // NonceCount reports how many nonces are currently remembered.
@@ -196,135 +125,7 @@ func (s State) String() string {
 	}
 }
 
-// Tracker records per-transaction state at one party, with legal
-// transition enforcement. Terminal states (completed, aborted, failed)
-// admit no further transitions.
-//
-// A tracker optionally carries per-transaction step deadlines: the
-// instant by which the transaction must make its next state transition
-// before the owner is entitled to expire it (paper §4's per-step time
-// limits, enforced server-side). Deadlines are bookkeeping only — the
-// tracker never acts on them; ExpireBefore hands the overdue set to the
-// protocol engine, which owns issuing the abort evidence.
-type Tracker struct {
-	mu        sync.Mutex
-	states    map[string]State
-	deadlines map[string]time.Time
-}
-
-// NewTracker returns an empty tracker.
-func NewTracker() *Tracker {
-	return &Tracker{
-		states:    make(map[string]State),
-		deadlines: make(map[string]time.Time),
-	}
-}
-
-// Begin registers a new transaction in StateInit.
-func (t *Tracker) Begin(txn string) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.states[txn]; ok {
-		return fmt.Errorf("session: transaction %s already begun", txn)
-	}
-	t.states[txn] = StateInit
-	return nil
-}
-
-// Get returns the transaction's current state.
-func (t *Tracker) Get(txn string) (State, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	s, ok := t.states[txn]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrUnknownTxn, txn)
-	}
-	return s, nil
-}
-
 // Terminal reports whether a state admits no further transitions.
 func Terminal(s State) bool {
 	return s == StateCompleted || s == StateAborted || s == StateFailed
-}
-
-// Restore force-sets a transaction's state, registering it if unknown.
-// Journal replay uses it: the legality of each transition was already
-// enforced (and journaled) the first time around, so replay must accept
-// the recorded history verbatim — including transitions out of states
-// that Transition would now refuse to leave.
-func (t *Tracker) Restore(txn string, s State) {
-	t.mu.Lock()
-	t.states[txn] = s
-	t.mu.Unlock()
-}
-
-// Transactions lists every known transaction ID (unsorted).
-func (t *Tracker) Transactions() []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]string, 0, len(t.states))
-	for txn := range t.states {
-		out = append(out, txn)
-	}
-	return out
-}
-
-// Transition moves txn to next, rejecting transitions out of terminal
-// states and on unknown transactions.
-func (t *Tracker) Transition(txn string, next State) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	cur, ok := t.states[txn]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownTxn, txn)
-	}
-	if Terminal(cur) {
-		return fmt.Errorf("%w: %s is %s", ErrTxncompleted, txn, cur)
-	}
-	t.states[txn] = next
-	return nil
-}
-
-// SetDeadline stamps the instant by which txn must make its next
-// transition. Restamping replaces the previous deadline — each
-// successful step buys the counterparty a fresh step budget.
-func (t *Tracker) SetDeadline(txn string, at time.Time) {
-	t.mu.Lock()
-	t.deadlines[txn] = at
-	t.mu.Unlock()
-}
-
-// ClearDeadline removes txn's deadline (terminal state reached).
-func (t *Tracker) ClearDeadline(txn string) {
-	t.mu.Lock()
-	delete(t.deadlines, txn)
-	t.mu.Unlock()
-}
-
-// Deadline returns txn's step deadline, or the zero time if none is
-// set.
-func (t *Tracker) Deadline(txn string) time.Time {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.deadlines[txn]
-}
-
-// ExpireBefore returns the non-terminal transactions whose deadline is
-// at or before now, consuming their deadline entries so each expiry is
-// reported exactly once. The caller (the protocol engine's reaper)
-// drives the transactions to their abort state.
-func (t *Tracker) ExpireBefore(now time.Time) []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var out []string
-	for txn, at := range t.deadlines {
-		if at.After(now) {
-			continue
-		}
-		delete(t.deadlines, txn)
-		if s, ok := t.states[txn]; ok && !Terminal(s) {
-			out = append(out, txn)
-		}
-	}
-	return out
 }

@@ -3,7 +3,6 @@ package session
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -21,93 +20,28 @@ func TestNewTransactionIDUnique(t *testing.T) {
 	}
 }
 
-func TestCounterMonotone(t *testing.T) {
-	var c Counter
-	if c.Current() != 0 {
-		t.Fatal("fresh counter nonzero")
+// admit runs the two halves of the guard as a party does: the pure
+// check, then the admission.
+func admit(g *Guard, nonce []byte, limit, now time.Time) error {
+	if err := g.Check(nonce, limit, now); err != nil {
+		return err
 	}
-	for want := uint64(1); want <= 100; want++ {
-		if got := c.Next(); got != want {
-			t.Fatalf("Next = %d, want %d", got, want)
-		}
-	}
-	if c.Current() != 100 {
-		t.Fatalf("Current = %d", c.Current())
-	}
-}
-
-func TestCounterConcurrent(t *testing.T) {
-	var c Counter
-	var wg sync.WaitGroup
-	seen := make([]map[uint64]bool, 8)
-	for i := range seen {
-		seen[i] = make(map[uint64]bool)
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for j := 0; j < 500; j++ {
-				seen[i][c.Next()] = true
-			}
-		}(i)
-	}
-	wg.Wait()
-	all := map[uint64]bool{}
-	for _, m := range seen {
-		for v := range m {
-			if all[v] {
-				t.Fatalf("sequence %d issued twice", v)
-			}
-			all[v] = true
-		}
-	}
-	if len(all) != 4000 {
-		t.Fatalf("issued %d unique sequence numbers, want 4000", len(all))
-	}
-}
-
-func guardCheck(g *Guard, txn string, seq uint64) error {
-	return g.Check(txn, seq, cryptoutil.MustNonce(), time.Time{}, time.Now())
-}
-
-func TestGuardAcceptsIncreasingSequences(t *testing.T) {
-	g := NewGuard(0)
-	for seq := uint64(1); seq <= 10; seq++ {
-		if err := guardCheck(g, "t1", seq); err != nil {
-			t.Fatalf("seq %d: %v", seq, err)
-		}
-	}
-	// Gaps are fine; only monotonicity matters.
-	if err := guardCheck(g, "t1", 100); err != nil {
-		t.Fatalf("gap: %v", err)
-	}
-}
-
-func TestGuardRejectsNonIncreasing(t *testing.T) {
-	g := NewGuard(0)
-	if err := guardCheck(g, "t1", 5); err != nil {
-		t.Fatal(err)
-	}
-	if err := guardCheck(g, "t1", 5); !errors.Is(err, ErrOutOfOrder) {
-		t.Fatalf("equal seq: %v", err)
-	}
-	if err := guardCheck(g, "t1", 4); !errors.Is(err, ErrOutOfOrder) {
-		t.Fatalf("lower seq: %v", err)
-	}
-	// A different transaction has its own sequence space.
-	if err := guardCheck(g, "t2", 1); err != nil {
-		t.Fatalf("other txn: %v", err)
-	}
+	return g.Admit(nonce)
 }
 
 func TestGuardRejectsNonceReplay(t *testing.T) {
 	g := NewGuard(0)
 	nonce := cryptoutil.MustNonce()
-	if err := g.Check("t1", 1, nonce, time.Time{}, time.Now()); err != nil {
+	if err := admit(g, nonce, time.Time{}, time.Now()); err != nil {
 		t.Fatal(err)
 	}
-	// Same nonce, different transaction and sequence — still a replay.
-	if err := g.Check("t2", 1, nonce, time.Time{}, time.Now()); !errors.Is(err, ErrReplay) {
+	// The window is party-wide: the same nonce in any message is a replay.
+	if err := g.Check(nonce, time.Time{}, time.Now()); !errors.Is(err, ErrReplay) {
 		t.Fatalf("err = %v, want ErrReplay", err)
+	}
+	// Admit is the atomic half: it refuses the second copy on its own.
+	if err := g.Admit(nonce); !errors.Is(err, ErrReplay) {
+		t.Fatalf("Admit of a remembered nonce: err = %v, want ErrReplay", err)
 	}
 }
 
@@ -115,16 +49,16 @@ func TestGuardTimeLimit(t *testing.T) {
 	g := NewGuard(0)
 	now := time.Date(2010, 9, 13, 12, 0, 0, 0, time.UTC)
 	limit := now.Add(-time.Second)
-	err := g.Check("t1", 1, cryptoutil.MustNonce(), limit, now)
+	err := admit(g, cryptoutil.MustNonce(), limit, now)
 	if !errors.Is(err, ErrExpired) {
 		t.Fatalf("expired message: %v", err)
 	}
 	// At or before the limit is fine.
-	if err := g.Check("t1", 1, cryptoutil.MustNonce(), now, now); err != nil {
+	if err := admit(g, cryptoutil.MustNonce(), now, now); err != nil {
 		t.Fatalf("at limit: %v", err)
 	}
 	// Zero limit means no deadline.
-	if err := g.Check("t1", 2, cryptoutil.MustNonce(), time.Time{}, now); err != nil {
+	if err := admit(g, cryptoutil.MustNonce(), time.Time{}, now); err != nil {
 		t.Fatalf("no limit: %v", err)
 	}
 }
@@ -133,14 +67,20 @@ func TestGuardFailureLeavesStateUnchanged(t *testing.T) {
 	g := NewGuard(0)
 	nonce := cryptoutil.MustNonce()
 	now := time.Now()
-	// Expired message carrying seq 7 and a fresh nonce: rejected and
-	// NOT recorded.
-	if err := g.Check("t1", 7, nonce, now.Add(-time.Hour), now); !errors.Is(err, ErrExpired) {
+	// Expired message carrying a fresh nonce: rejected and NOT recorded.
+	if err := admit(g, nonce, now.Add(-time.Hour), now); !errors.Is(err, ErrExpired) {
 		t.Fatal(err)
 	}
-	// The same seq and nonce must now be accepted with a valid limit.
-	if err := g.Check("t1", 7, nonce, time.Time{}, now); err != nil {
+	// The same nonce must now be accepted with a valid limit.
+	if err := admit(g, nonce, time.Time{}, now); err != nil {
 		t.Fatalf("state leaked from rejected message: %v", err)
+	}
+	// Check alone records nothing either.
+	fresh := cryptoutil.MustNonce()
+	for i := 0; i < 2; i++ {
+		if err := g.Check(fresh, time.Time{}, now); err != nil {
+			t.Fatalf("check %d of an unadmitted nonce: %v", i, err)
+		}
 	}
 }
 
@@ -149,7 +89,7 @@ func TestGuardWindowEviction(t *testing.T) {
 	nonces := make([][]byte, 6)
 	for i := range nonces {
 		nonces[i] = cryptoutil.MustNonce()
-		if err := g.Check("t", uint64(i+1), nonces[i], time.Time{}, time.Now()); err != nil {
+		if err := admit(g, nonces[i], time.Time{}, time.Now()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -158,49 +98,12 @@ func TestGuardWindowEviction(t *testing.T) {
 	}
 	// The oldest nonce fell out of the window — its replay is no longer
 	// detected (the documented window/memory trade-off)...
-	if err := g.Check("t", 100, nonces[0], time.Time{}, time.Now()); err != nil {
+	if err := admit(g, nonces[0], time.Time{}, time.Now()); err != nil {
 		t.Fatalf("evicted nonce still tracked: %v", err)
 	}
 	// ...but a recent one still is.
-	if err := g.Check("t", 101, nonces[5], time.Time{}, time.Now()); !errors.Is(err, ErrReplay) {
+	if err := admit(g, nonces[5], time.Time{}, time.Now()); !errors.Is(err, ErrReplay) {
 		t.Fatalf("recent nonce not tracked: %v", err)
-	}
-}
-
-func TestGuardForget(t *testing.T) {
-	g := NewGuard(0)
-	guardCheck(g, "t1", 9)
-	g.Forget("t1")
-	if err := guardCheck(g, "t1", 1); err != nil {
-		t.Fatalf("after Forget, low seq rejected: %v", err)
-	}
-}
-
-func TestTrackerLifecycle(t *testing.T) {
-	tr := NewTracker()
-	if err := tr.Begin("t1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Begin("t1"); err == nil {
-		t.Fatal("double Begin accepted")
-	}
-	if s, err := tr.Get("t1"); err != nil || s != StateInit {
-		t.Fatalf("Get = %v, %v", s, err)
-	}
-	for _, next := range []State{StateEvidenceSent, StateEvidenceReceived, StateCompleted} {
-		if err := tr.Transition("t1", next); err != nil {
-			t.Fatalf("to %v: %v", next, err)
-		}
-	}
-	// Completed is terminal.
-	if err := tr.Transition("t1", StateResolving); !errors.Is(err, ErrTxncompleted) {
-		t.Fatalf("transition out of terminal: %v", err)
-	}
-	if _, err := tr.Get("ghost"); !errors.Is(err, ErrUnknownTxn) {
-		t.Fatalf("unknown txn: %v", err)
-	}
-	if err := tr.Transition("ghost", StateFailed); !errors.Is(err, ErrUnknownTxn) {
-		t.Fatalf("transition unknown txn: %v", err)
 	}
 }
 
@@ -223,18 +126,5 @@ func TestStateStrings(t *testing.T) {
 			t.Errorf("duplicate state string %q", str)
 		}
 		seen[str] = true
-	}
-}
-
-func TestCounterSkipTo(t *testing.T) {
-	var c Counter
-	c.SkipTo(1 << 62) // must complete instantly, not iterate
-	if got := c.Next(); got != 1<<62+1 {
-		t.Fatalf("Next after SkipTo = %d", got)
-	}
-	// SkipTo never goes backwards.
-	c.SkipTo(5)
-	if got := c.Next(); got != 1<<62+2 {
-		t.Fatalf("Next after backwards SkipTo = %d", got)
 	}
 }

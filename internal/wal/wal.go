@@ -359,9 +359,12 @@ func scanSegment(b []byte, seg int, last bool, fn func(off int64, rec []byte) er
 	for int64(len(b))-off >= recHeaderLen {
 		length := binary.BigEndian.Uint32(b[off:])
 		crc := binary.BigEndian.Uint32(b[off+4:])
-		if length > MaxRecordSize {
+		// No record is empty (AppendBatch refuses one), so a zero length
+		// is a hole: a crash kept a later unsynced write but lost this
+		// one, and the CRC-32 of nothing, 0, would pass the check below.
+		if length == 0 || length > MaxRecordSize {
 			if last {
-				return off, nil // garbage length: torn tail
+				return off, nil // hole or garbage length: torn tail
 			}
 			return 0, fmt.Errorf("%w: %s: record length %d at offset %d", ErrCorrupt, segName(seg), length, off)
 		}
@@ -444,9 +447,12 @@ func (w *WAL) AppendBatch(recs [][]byte) (uint64, error) {
 	bp := recBufPool.Get().(*[]byte)
 	buf := (*bp)[:0]
 	for _, payload := range recs {
-		if len(payload) > MaxRecordSize {
+		if len(payload) == 0 || len(payload) > MaxRecordSize {
 			*bp = buf[:0]
 			recBufPool.Put(bp)
+			if len(payload) == 0 {
+				return 0, errors.New("wal: empty record")
+			}
 			return 0, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(payload))
 		}
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))

@@ -335,3 +335,79 @@ func TestReplayStopsOnError(t *testing.T) {
 		t.Fatalf("fn called %d times, want 3", n)
 	}
 }
+
+// zeroHole appends a run of zero bytes and then one intact record to
+// the segment at path: what a crash leaves when it keeps a later
+// unsynced write but loses the earlier one in front of it.
+func zeroHole(t *testing.T, path string) {
+	t.Helper()
+	payload := []byte("a later record the crash kept")
+	rec := binary.BigEndian.AppendUint32(make([]byte, 24), uint32(len(payload)))
+	rec = binary.BigEndian.AppendUint32(rec, crc32.ChecksumIEEE(payload))
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Write(append(rec, payload...)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestZeroHoleIsTornTail: a zero length is never a record, so Open
+// truncates the open segment at the hole (the intact record behind it
+// goes with it) and a sealed segment holding one is ErrCorrupt.
+func TestZeroHoleIsTornTail(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if _, err := w.AppendBatch([][]byte{[]byte("ok"), {}}); err == nil {
+		t.Fatal("AppendBatch accepted a zero-length record")
+	}
+	for i := 0; i < 3; i++ {
+		if err := w.Append([]byte(fmt.Sprintf("intact-%d", i))); err != nil {
+			t.Fatalf("Append: %v", err)
+		}
+	}
+	w.Close()
+	zeroHole(t, lastSegment(t, dir))
+
+	w2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("Open over a zero hole: %v", err)
+	}
+	if !w2.Truncated() {
+		t.Fatal("zero hole not reported via Truncated()")
+	}
+	if got := collect(t, w2); len(got) != 3 {
+		t.Fatalf("replayed %d records over a zero hole, want 3", len(got))
+	}
+	w2.Close()
+
+	// The same hole in a sealed segment is not a tail.
+	sealed := t.TempDir()
+	w3, err := Open(sealed, Options{SegmentSize: 128, Policy: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w3.Segments() < 2 {
+		if err := w3.Append(bytes.Repeat([]byte{'x'}, 40)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w3.Close()
+	first := filepath.Join(sealed, fmt.Sprintf(segFmt, 1))
+	b, err := os.ReadFile(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clear(b[len(segMagic):])
+	if err := os.WriteFile(first, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(sealed, Options{}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Open over a zero hole in a sealed segment = %v, want ErrCorrupt", err)
+	}
+}
