@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/archive"
 	"repro/internal/evidence"
@@ -43,9 +45,11 @@ type CheckpointReport struct {
 // Ordering is what makes a crash at any point safe: evidence moves to
 // the archive (appended, synced) strictly BEFORE the journal forgets
 // it. If the process dies after archiving but before the snapshot
-// rename, the old snapshot plus the still-intact tail re-materialise
-// the sessions hot, and the next checkpoint re-appends them — the
-// archive's last-wins reads make the re-append idempotent.
+// rename, recovery loads the old snapshot: a session it lists as live
+// is rebuilt from it and the still-intact tail over the bundle's
+// terminal state, and the next checkpoint merges it back, adding only
+// what the bundle lacks; a session it does not list is the bundle's
+// alone.
 func (p *party) Checkpoint() (*CheckpointReport, error) {
 	if p.journal == nil {
 		return nil, errors.New("core: checkpoint requires a journal (WithJournal)")
@@ -95,11 +99,22 @@ func (p *party) compactable(r *txnRecord) (session.State, bool) {
 
 // compactTerminalLocked moves every compactable session's evidence from
 // its record into the cold archive and deletes the record. Caller holds
-// ckptMu.
+// ckptMu, whose write side keeps every commit out, so a candidate's
+// evidence cannot move while its bundle is written: the archive I/O
+// runs outside the stripe lock, and the inbound checks that take it go
+// on meanwhile.
 func (p *party) compactTerminalLocked() (int, error) {
+	type candidate struct {
+		txn   string
+		r     *txnRecord
+		st    session.State
+		ev    [2][]*evidence.Evidence
+		filed int // hot items when collected
+	}
 	n := 0
 	for i := range p.recs {
 		sh := &p.recs[i]
+		var cands []candidate
 		sh.mu.Lock()
 		for txn, r := range sh.recs {
 			st, ok := p.compactable(r)
@@ -114,27 +129,25 @@ func (p *party) compactTerminalLocked() (int, error) {
 				}
 				continue
 			}
-			b := &archive.Bundle{Txn: txn, State: uint8(st)}
-			if r.archived {
-				// Late evidence for an already-compacted session (a resolve
-				// query, say). The re-append below replaces the cold bundle
-				// last-wins, so it must carry the original items too or the
-				// session's NRO/NRR would be destroyed.
-				if old, err := p.cold.Get(txn); err == nil {
-					b.Items = old.Items
-				}
+			cands = append(cands, candidate{txn, r, st, r.ev, len(r.ev[0]) + len(r.ev[1])})
+		}
+		sh.mu.Unlock()
+		for _, c := range cands {
+			appended, err := p.archiveBundle(c.txn, c.st, c.ev, c.r.archived)
+			if err != nil {
+				return n, fmt.Errorf("core: archiving %s: %w", c.txn, err)
 			}
-			for role, list := range r.ev {
-				for _, ev := range list {
-					b.Items = append(b.Items, archive.Item{Role: uint8(role + 1), Blob: ev.Encode()})
-				}
+			if appended {
+				n++
 			}
-			if err := p.cold.Append(b); err != nil {
-				sh.mu.Unlock()
-				return n, fmt.Errorf("core: archiving %s: %w", txn, err)
+		}
+		sh.mu.Lock()
+		for _, c := range cands {
+			// A record ImportEvidence grew meanwhile (it takes no ckptMu)
+			// stays for the next pass.
+			if len(c.r.ev[0])+len(c.r.ev[1]) == c.filed {
+				delete(sh.recs, c.txn)
 			}
-			delete(sh.recs, txn)
-			n++
 		}
 		sh.mu.Unlock()
 	}
@@ -147,6 +160,38 @@ func (p *party) compactTerminalLocked() (int, error) {
 		}
 	}
 	return n, nil
+}
+
+// archiveBundle appends txn's bundle: its terminal state and its hot
+// evidence. With merge, the record was seeded from an earlier bundle —
+// late evidence for a compacted session (a resolve query, say), or a
+// session recovery rebuilt after a crash beat the snapshot to disk. The
+// append replaces that bundle last-wins, so it carries the earlier
+// items first, or the session's NRO/NRR would be destroyed, and skips
+// a hot item the bundle already holds; when that leaves nothing new it
+// writes nothing and reports false.
+func (p *party) archiveBundle(txn string, st session.State, ev [2][]*evidence.Evidence, merge bool) (bool, error) {
+	b := &archive.Bundle{Txn: txn, State: uint8(st)}
+	if merge {
+		if old, err := p.cold.Get(txn); err == nil {
+			b.Items = old.Items
+		}
+	}
+	held := len(b.Items)
+	for role, list := range ev {
+		for _, e := range list {
+			it := archive.Item{Role: uint8(role + 1), Blob: e.Encode()}
+			if !slices.ContainsFunc(b.Items[:held], func(o archive.Item) bool {
+				return o.Role == it.Role && bytes.Equal(o.Blob, it.Blob)
+			}) {
+				b.Items = append(b.Items, it)
+			}
+		}
+	}
+	if merge && len(b.Items) == held {
+		return false, nil
+	}
+	return true, p.cold.Append(b)
 }
 
 // encodeSnapshotLocked serialises every live record — state, outbound
@@ -190,9 +235,12 @@ func (p *party) encodeSnapshotLocked() ([]byte, int, error) {
 // list is read past, because the archive index now answers that.
 func (p *party) restoreSnapshot(payload []byte, rep *RecoveryReport, seen map[string]bool) error {
 	d := wire.NewDecoder(payload)
-	magic := d.String()
-	if magic != snapshotMagic && magic != snapshotMagicV1 {
-		return fmt.Errorf("core: unrecognised snapshot format %q", magic)
+	v1 := false
+	if err := d.Magic(snapshotMagic); err != nil {
+		if d = wire.NewDecoder(payload); d.Magic(snapshotMagicV1) != nil {
+			return fmt.Errorf("core: unrecognised snapshot format: %w", err)
+		}
+		v1 = true
 	}
 	nLive := int(d.U32())
 	for i := 0; i < nLive && d.Err() == nil; i++ {
@@ -217,7 +265,8 @@ func (p *party) restoreSnapshot(payload []byte, rep *RecoveryReport, seen map[st
 			break
 		}
 		p.update(txn, func(r *txnRecord) {
-			if hasState {
+			if hasState && !r.archived {
+				// A seeded record keeps the bundle's terminal state.
 				r.state, r.hasState = st, true
 			}
 			r.outSeq = max(r.outSeq, outSeq)
@@ -236,7 +285,7 @@ func (p *party) restoreSnapshot(payload []byte, rep *RecoveryReport, seen map[st
 			rep.Transactions = append(rep.Transactions, txn)
 		}
 	}
-	if magic == snapshotMagicV1 {
+	if v1 {
 		for n := int(d.U32()); n > 0 && d.Err() == nil; n-- {
 			d.View32()
 			d.U8()

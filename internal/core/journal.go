@@ -313,12 +313,18 @@ type RecoveryReport struct {
 // snapshot the tail IS the whole journal, which degrades to a full
 // replay. Tail records for transactions already compacted into the
 // cold archive are skipped — the archive serves their evidence, not a
-// re-materialised record. Compacted means the bundle reads back: a
-// crash before the archive's sync can leave an index entry over bytes
-// that never landed, and the journal, not yet truncated, still holds
-// that session. Every restore path is idempotent (add
-// deduplicates; states, floors and flags are set, not stepped), so
-// calling Recover twice yields the state of calling it once.
+// re-materialised record — unless the snapshot lists the transaction
+// as live: then a crash beat the next snapshot to disk after the
+// compaction, and the tail holds what happened since the listed state,
+// the terminal transition and a closed resolve included. Compacted
+// means the bundle reads back: a crash before the archive's sync can
+// leave an index entry over bytes that never landed, and the journal,
+// not yet truncated, still holds that session. A record seeded from a
+// bundle keeps the bundle's terminal state: a record compacts only
+// once terminal, and a terminal state never changes. Every restore
+// path is idempotent (add deduplicates; states, floors and flags are
+// set, not stepped), so calling Recover twice yields the state of
+// calling it once.
 func (p *party) recoverBase(ctx context.Context) (*RecoveryReport, error) {
 	rep := &RecoveryReport{}
 	if p.journal == nil {
@@ -343,7 +349,8 @@ func (p *party) recoverBase(ctx context.Context) (*RecoveryReport, error) {
 		rep.TailRecords++
 		cold, ok := archived[r.Txn]
 		if !ok {
-			cold = p.bundle(r.Txn) != nil
+			// First sight in the tail: seen holds only what the snapshot listed.
+			cold = !seen[r.Txn] && p.bundle(r.Txn) != nil
 			archived[r.Txn] = cold
 		}
 		if cold {
@@ -368,7 +375,9 @@ func (p *party) recoverBase(ctx context.Context) (*RecoveryReport, error) {
 			case jrEvidence:
 				p.restoreEvidence(tr, evidence.Role(r.Aux), ev)
 			case jrState:
-				tr.state, tr.hasState = session.State(r.Aux), true
+				if !tr.archived {
+					tr.state, tr.hasState = session.State(r.Aux), true
+				}
 			case jrObject:
 				tr.object = r.Note
 			case jrResolve:

@@ -137,14 +137,22 @@ func (p *party) view(txn string, f func(*txnRecord)) bool {
 
 // update runs f on txn's record under its stripe lock, creating the
 // record first — seeded from the cold archive when a checkpoint
-// compacted the transaction.
+// compacted the transaction. The bundle is read outside the lock.
 func (p *party) update(txn string, f func(*txnRecord)) {
 	sh := p.shard(txn)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	r, ok := sh.recs[txn]
+	if !ok && p.cold != nil && p.cold.Has(txn) {
+		sh.mu.Unlock()
+		seed := p.coldRecord(txn)
+		sh.mu.Lock()
+		if r, ok = sh.recs[txn]; !ok {
+			r = seed // nil when the bundle does not read back
+		}
+	}
 	if !ok {
-		if r = p.coldRecord(txn); r == nil {
+		if r == nil {
 			r = &txnRecord{}
 		}
 		if sh.recs == nil {

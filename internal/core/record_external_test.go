@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -232,4 +233,182 @@ func TestCheckpointDeletesArchivedRecords(t *testing.T) {
 	if _, err := w.d.Provider.EvidenceByKind("txn-del-1", evidence.RolePeer, evidence.KindNRO); err != nil {
 		t.Fatalf("merge lost the original NRO: %v", err)
 	}
+}
+
+// TestCompactionCrashBeforeSnapshotKeepsAbort: a crash after a
+// checkpoint's compaction but before its snapshot lands leaves the
+// previous snapshot, which still lists the transaction as live, over a
+// bundle that holds its terminal state. Recovery must come back with
+// the terminal state — here an abort of a withheld-receipt upload —
+// so a later resolve relays the abort instead of issuing a receipt for
+// a deleted object, and the next checkpoint compacts the transaction
+// again without duplicating its archived evidence. With the journal
+// tail intact the tail carries the abort; with it lost (what a batch
+// journal may lose in a crash) the bundle alone does.
+func TestCompactionCrashBeforeSnapshotKeepsAbort(t *testing.T) {
+	for _, loseTail := range []bool{false, true} {
+		t.Run(fmt.Sprintf("tail-lost=%v", loseTail), func(t *testing.T) {
+			testCompactionCrashBeforeSnapshot(t, loseTail)
+		})
+	}
+}
+
+func testCompactionCrashBeforeSnapshot(t *testing.T, loseTail bool) {
+	const txn, key = "txn-held", "held/obj"
+	ctx := context.Background()
+	dir := t.TempDir()
+	store := storage.NewMem(time.Now)
+	w := openCkptWorld(t, dir, store)
+
+	// The provider stores the upload and withholds the receipt.
+	w.d.Provider.SetMisbehavior(core.Misbehavior{SilentAfterNRO: true})
+	conn, err := w.d.DialProvider()
+	if err != nil {
+		t.Fatal(err)
+	}
+	upCtx, cancel := context.WithTimeout(ctx, 200*time.Millisecond)
+	_, err = w.d.Client.Upload(upCtx, conn, txn, key, []byte("withheld"))
+	cancel()
+	if err == nil {
+		t.Fatal("upload to a silent provider returned a receipt")
+	}
+	w.d.Provider.SetMisbehavior(core.Misbehavior{})
+	if _, err := w.d.Provider.EvidenceByKind(txn, evidence.RolePeer, evidence.KindNRO); err != nil {
+		t.Fatalf("provider never filed the NRO: %v", err)
+	}
+	// Snapshot one: the upload is live. The journal's tail starts here.
+	if _, err := w.d.Provider.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	segs, _ := filepath.Glob(filepath.Join(dir, "provider", "wal", "wal-*.seg"))
+	tailSeg := segs[len(segs)-1]
+	fi, err := os.Stat(tailSeg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ab, err := w.d.Client.Abort(ctx, conn, txn, "no receipt")
+	conn.Close()
+	if err != nil || !ab.Accepted {
+		t.Fatalf("abort = %+v, %v", ab, err)
+	}
+	// Checkpoint two compacts the aborted upload, then dies before its
+	// snapshot: the closed journal refuses it.
+	w.pw.Close()
+	if _, err := w.d.Provider.Checkpoint(); err == nil {
+		t.Fatal("checkpoint over a closed journal succeeded")
+	}
+	if !w.pa.Has(txn) {
+		t.Fatal("the failed checkpoint did not compact the aborted upload")
+	}
+	w.crash()
+	if loseTail {
+		if err := os.Truncate(tailSeg, fi.Size()); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	w2 := openCkptWorld(t, dir, store)
+	defer w2.crash()
+	if _, err := w2.d.Provider.Recover(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w2.d.TTPServer.Recover(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w2.d.Client.Recover(ctx); err != nil {
+		t.Fatal(err)
+	}
+	before, err := w2.pa.Get(txn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ttpConn, err := w2.d.DialTTP()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ttpConn.Close()
+	res, err := w2.d.Client.Resolve(ctx, ttpConn, txn, "no receipt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Outcome != "aborted" {
+		t.Fatalf("resolve outcome %q, want aborted", res.Outcome)
+	}
+	if _, err := w2.d.Provider.EvidenceByKind(txn, evidence.RoleOwn, evidence.KindNRR); err == nil {
+		t.Fatal("the provider issued a receipt for an aborted upload")
+	}
+
+	if _, err := w2.d.Provider.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	assertNoArchivedRecords(t, w2.d.Provider.HotTxns(), w2.pa)
+	after, err := w2.pa.Get(txn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The resolve brought its query and the answer; nothing else is new.
+	if got, want := len(after.Items), len(before.Items)+2; got != want {
+		t.Fatalf("bundle holds %d items after the resolve, want %d", got, want)
+	}
+}
+
+// TestCompactionCrashBeforeSnapshotClosesResolve is the TTP's side of
+// the same crash: a resolve open at the previous snapshot, closed and
+// compacted since. The journal tail holds the close, so recovery must
+// not report the resolve open, and the next checkpoint must compact it.
+func TestCompactionCrashBeforeSnapshotClosesResolve(t *testing.T) {
+	const txn = "txn-res"
+	ctx := context.Background()
+	dir := t.TempDir()
+	store := storage.NewMem(time.Now)
+	w := openCkptWorld(t, dir, store)
+	w.upload(t, ctx, txn, "res/obj", []byte("payload"))
+
+	// The provider ignores the TTP, which holds the resolve open until
+	// its timeout and then closes it with a statement.
+	w.d.Provider.SetMisbehavior(core.Misbehavior{IgnoreResolve: true})
+	ttpConn, err := w.d.DialTTP()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ttpConn.Close()
+	done := make(chan error, 1)
+	go func() {
+		_, err := w.d.Client.Resolve(ctx, ttpConn, txn, "receipt disputed")
+		done <- err
+	}()
+	for len(w.d.TTPServer.HotEvidence(txn, evidence.RolePeer)) == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	// Snapshot one: the resolve is open.
+	if _, err := w.d.TTPServer.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	// Checkpoint two compacts the closed resolve, then dies before its
+	// snapshot.
+	w.tw.Close()
+	if _, err := w.d.TTPServer.Checkpoint(); err == nil {
+		t.Fatal("checkpoint over a closed journal succeeded")
+	}
+	if !w.ta.Has(txn) {
+		t.Fatal("the failed checkpoint did not compact the closed resolve")
+	}
+	w.crash()
+
+	w2 := openCkptWorld(t, dir, store)
+	defer w2.crash()
+	rep, err := w2.d.TTPServer.Recover(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.OpenResolves) != 0 {
+		t.Fatalf("OpenResolves = %v after the resolve closed", rep.OpenResolves)
+	}
+	if _, err := w2.d.TTPServer.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	assertNoArchivedRecords(t, w2.d.TTPServer.HotTxns(), w2.ta)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -282,5 +283,16 @@ func TestRestoreSnapshotV1(t *testing.T) {
 	}
 	if fmt.Sprint(rep.Transactions, p.HotTxns()) != "[live] [live]" {
 		t.Fatalf("restored %v, records %v; want only the live one", rep.Transactions, p.HotTxns())
+	}
+}
+
+// TestRestoreSnapshotBadMagic: an unrecognised snapshot is refused with
+// the wire's bounded magic error, not a copy of whatever it carries.
+func TestRestoreSnapshotBadMagic(t *testing.T) {
+	e := wire.NewEncoder(4096)
+	e.String(strings.Repeat("x", 4000))
+	err := bareParty(clock.Real(), 0).restoreSnapshot(e.Bytes(), &RecoveryReport{}, map[string]bool{})
+	if err == nil || len(err.Error()) > 200 {
+		t.Fatalf("restoring a snapshot with a 4,000-byte magic: %v", err)
 	}
 }
