@@ -509,7 +509,7 @@ func recoverEngine(engine core.ProviderEngine) error {
 	}
 	log.Printf("nrserver: recovered %d journal records across %d txns (%d unfinished, %d aborts honored, torn tail: %v)",
 		rep.Records, len(rep.Transactions), len(rep.NeedsResolve), len(rep.HonoredAborts), rep.TornTail)
-	log.Printf("nrserver: recovery bounded by snapshot at LSN %d: %d tail records replayed, %d archived sessions untouched (%d tail records skipped as archived)",
-		rep.SnapshotLSN, rep.TailRecords, rep.ArchivedSessions, rep.SkippedArchived)
+	log.Printf("nrserver: recovery bounded by snapshot at LSN %d: %d tail records replayed, %d sessions archived",
+		rep.SnapshotLSN, rep.TailRecords, rep.ArchivedSessions)
 	return nil
 }

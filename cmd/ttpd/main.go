@@ -237,8 +237,8 @@ func main() {
 		}
 		log.Printf("ttpd: recovered %d journal records across %d txns (%d resolves left open, torn tail: %v)",
 			rep.Records, len(rep.Transactions), len(rep.OpenResolves), rep.TornTail)
-		log.Printf("ttpd: recovery bounded by snapshot at LSN %d: %d tail records replayed, %d archived resolves untouched (%d tail records skipped as archived)",
-			rep.SnapshotLSN, rep.TailRecords, rep.ArchivedSessions, rep.SkippedArchived)
+		log.Printf("ttpd: recovery bounded by snapshot at LSN %d: %d tail records replayed, %d resolves archived",
+			rep.SnapshotLSN, rep.TailRecords, rep.ArchivedSessions)
 		for _, txn := range rep.OpenResolves {
 			log.Printf("ttpd: resolve for %s was interrupted; the claimant will retry", txn)
 		}

@@ -45,11 +45,9 @@ type CheckpointReport struct {
 // Ordering is what makes a crash at any point safe: evidence moves to
 // the archive (appended, synced) strictly BEFORE the journal forgets
 // it. If the process dies after archiving but before the snapshot
-// rename, recovery loads the old snapshot: a session it lists as live
-// is rebuilt from it and the still-intact tail over the bundle's
-// terminal state, and the next checkpoint merges it back, adding only
-// what the bundle lacks; a session it does not list is the bundle's
-// alone.
+// rename, recovery loads the old snapshot and replays the still-intact
+// tail over records seeded from the bundles' terminal states, and the
+// next checkpoint merges them back, adding only what each bundle lacks.
 func (p *party) Checkpoint() (*CheckpointReport, error) {
 	if p.journal == nil {
 		return nil, errors.New("core: checkpoint requires a journal (WithJournal)")

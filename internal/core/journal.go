@@ -303,35 +303,27 @@ type RecoveryReport struct {
 	// ArchivedSessions counts terminal sessions resident in the cold
 	// archive after recovery.
 	ArchivedSessions int
-	// SkippedArchived counts tail records ignored because their
-	// transaction was already compacted into the cold archive.
-	SkippedArchived int
 }
 
 // recoverBase rebuilds the party's transaction records from the newest
 // usable checkpoint snapshot plus the journal tail past it. With no
 // snapshot the tail IS the whole journal, which degrades to a full
-// replay. Tail records for transactions already compacted into the
-// cold archive are skipped — the archive serves their evidence, not a
-// re-materialised record — unless the snapshot lists the transaction
-// as live: then a crash beat the next snapshot to disk after the
-// compaction, and the tail holds what happened since the listed state,
-// the terminal transition and a closed resolve included. Compacted
-// means the bundle reads back: a crash before the archive's sync can
-// leave an index entry over bytes that never landed, and the journal,
-// not yet truncated, still holds that session. A record seeded from a
-// bundle keeps the bundle's terminal state: a record compacts only
-// once terminal, and a terminal state never changes. Every restore
-// path is idempotent (add deduplicates; states, floors and flags are
-// set, not stepped), so calling Recover twice yields the state of
-// calling it once.
+// replay. Every tail record replays, also for a transaction the cold
+// archive holds: the tail may carry late traffic the bundle lacks (a
+// resolve answered after the compaction), or, when a crash came
+// between a checkpoint's compaction and its snapshot, what the bundle
+// already holds, which the next compaction does not add twice. A
+// record seeded from a bundle keeps the bundle's terminal state: a
+// record compacts only once terminal, and a terminal state never
+// changes. Every restore path is idempotent (add deduplicates; states,
+// floors and flags are set, not stepped), so calling Recover twice
+// yields the state of calling it once.
 func (p *party) recoverBase(ctx context.Context) (*RecoveryReport, error) {
 	rep := &RecoveryReport{}
 	if p.journal == nil {
 		return rep, nil
 	}
 	seen := make(map[string]bool)
-	archived := make(map[string]bool) // txn → its bundle reads back
 	if payload, lsn, ok := p.journal.LoadCheckpoint(); ok {
 		if err := p.restoreSnapshot(payload, rep, seen); err != nil {
 			return nil, err
@@ -347,18 +339,6 @@ func (p *party) recoverBase(ctx context.Context) (*RecoveryReport, error) {
 			return err
 		}
 		rep.TailRecords++
-		cold, ok := archived[r.Txn]
-		if !ok {
-			// First sight in the tail: seen holds only what the snapshot listed.
-			cold = !seen[r.Txn] && p.bundle(r.Txn) != nil
-			archived[r.Txn] = cold
-		}
-		if cold {
-			// Post-compaction record for an archived session (late resolve
-			// traffic): the archive already serves this session's evidence.
-			rep.SkippedArchived++
-			return nil
-		}
 		rep.Records++
 		if r.Txn != "" && !seen[r.Txn] {
 			seen[r.Txn] = true

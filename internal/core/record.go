@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/archive"
 	"repro/internal/evidence"
 	"repro/internal/session"
 )
@@ -165,11 +164,12 @@ func (p *party) update(txn string, f func(*txnRecord)) {
 
 // coldRecord rebuilds what a compacted transaction still needs from its
 // archived bundle: the terminal state, each sender's floor, the
-// outbound floor and the object key the upload bound. Nil when txn is
-// not archived.
+// outbound floor and the object key the upload bound. Nil when the
+// bundle does not read back: a crash before the archive's sync can
+// leave an index entry over bytes that never landed.
 func (p *party) coldRecord(txn string) *txnRecord {
-	b := p.bundle(txn)
-	if b == nil {
+	b, err := p.cold.Get(txn)
+	if err != nil {
 		return nil
 	}
 	r := &txnRecord{state: session.State(b.State), hasState: true, archived: true}
@@ -185,19 +185,6 @@ func (p *party) coldRecord(txn string) *txnRecord {
 		}
 	}
 	return r
-}
-
-// bundle returns txn's archived bundle, or nil when the cold archive
-// holds none that reads back.
-func (p *party) bundle(txn string) *archive.Bundle {
-	if p.cold == nil || !p.cold.Has(txn) {
-		return nil
-	}
-	b, err := p.cold.Get(txn)
-	if err != nil {
-		return nil
-	}
-	return b
 }
 
 // HotTxns lists, sorted, every transaction this party holds a record

@@ -412,3 +412,51 @@ func TestCompactionCrashBeforeSnapshotClosesResolve(t *testing.T) {
 	}
 	assertNoArchivedRecords(t, w2.d.TTPServer.HotTxns(), w2.ta)
 }
+
+// TestLateResolveAfterCompactionSurvivesCrash: a resolve answered for a
+// compacted upload is journaled into the tail; a crash before the next
+// checkpoint must not lose the answer the provider sent, although the
+// cold archive holds an older bundle for the transaction.
+func TestLateResolveAfterCompactionSurvivesCrash(t *testing.T) {
+	const txn = "txn-late"
+	ctx := context.Background()
+	dir := t.TempDir()
+	store := storage.NewMem(time.Now)
+	w := openCkptWorld(t, dir, store)
+	w.upload(t, ctx, txn, "late/obj", []byte("payload"))
+	if _, err := w.d.Provider.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if !w.pa.Has(txn) {
+		t.Fatal("the checkpoint did not compact the upload")
+	}
+	ttpConn, err := w.d.DialTTP()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := w.d.Client.Resolve(ctx, ttpConn, txn, "receipt disputed")
+	ttpConn.Close()
+	if err != nil || res.Outcome != "continue" {
+		t.Fatalf("late resolve = %+v, %v", res, err)
+	}
+	w.crash()
+
+	w2 := openCkptWorld(t, dir, store)
+	defer w2.crash()
+	if _, err := w2.d.Provider.Recover(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w2.d.Provider.EvidenceByKind(txn, evidence.RoleOwn, evidence.KindResolveResponse); err != nil {
+		t.Fatalf("the provider lost the resolve answer it sent: %v", err)
+	}
+	if _, err := w2.d.Provider.EvidenceByKind(txn, evidence.RolePeer, evidence.KindNRO); err != nil {
+		t.Fatalf("the provider lost the archived NRO: %v", err)
+	}
+	if _, err := w2.d.Provider.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	assertNoArchivedRecords(t, w2.d.Provider.HotTxns(), w2.pa)
+	if _, err := w2.d.Provider.EvidenceByKind(txn, evidence.RoleOwn, evidence.KindResolveResponse); err != nil {
+		t.Fatalf("the next checkpoint did not archive the resolve answer: %v", err)
+	}
+}

@@ -274,7 +274,6 @@ func MergeRecoveryReports(reps []*RecoveryReport) *RecoveryReport {
 		}
 		m.TailRecords += r.TailRecords
 		m.ArchivedSessions += r.ArchivedSessions
-		m.SkippedArchived += r.SkippedArchived
 	}
 	return m
 }
